@@ -19,12 +19,11 @@ from .abelian import abelian_invariants
 from .cosets import (
     CosetTable,
     TableInvariantError,
-    is_normal,
     power_survives,
     table_from_rows,
     validate_table,
 )
-from .lowindex import SubgroupRecord, low_index_normal
+from .lowindex import SubgroupRecord, low_index_normal, subgroup_record
 from .presentations import (
     DEFAULT_TIETZE_BUDGET,
     Presentation,
@@ -34,7 +33,7 @@ from .presentations import (
     quotient_by_words,
     tietze_simplify,
 )
-from .rewriting import schreier_generators, subgroup_presentation
+from .rewriting import subgroup_presentation
 from .words import Word, is_prime, primitive_root
 
 P_LARGE_BY_DEFICIENCY = "PLargeByDeficiency"
@@ -474,22 +473,21 @@ def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:
 # verification
 
 
-def _rebuild_table(P: Presentation, witness: dict) -> CosetTable:
+def _normal_record(P: Presentation, witness: dict) -> SubgroupRecord | None:
+    """The record of the witness table, or None unless the table is valid
+    for P, its subgroup is normal and its index matches the witness."""
     try:
-        rows = witness["table"]
-        T = table_from_rows(P.n_generators, rows)
+        T = table_from_rows(P.n_generators, witness["table"])
     except (KeyError, ValueError, TypeError) as e:
         raise MalformedCertificate(f"bad table payload: {e}") from e
-    gens = tuple(w for _, w in schreier_generators(T))
-    return CosetTable(P.n_generators, T.rows, complete=True, subgroup_words=gens)
-
-
-def _verify_table_against(P: Presentation, T: CosetTable) -> bool:
     try:
         validate_table(P, T)
     except TableInvariantError:
-        return False
-    return True
+        return None
+    rec = subgroup_record(T)
+    if not rec.normal or witness["index"] != rec.index:
+        return None
+    return rec
 
 
 def verify(c: Certificate) -> bool:
@@ -516,11 +514,10 @@ def verify(c: Certificate) -> bool:
             return str(r - Fraction(k, p**lp)) == c.witness["bound"]
         if c.kind == ALLCOCK_BOUND:
             P = parse_presentation(c.presentation)
-            T = _rebuild_table(P, c.witness)
-            if not _verify_table_against(P, T) or not is_normal(T):
+            rec = _normal_record(P, c.witness)
+            if rec is None:
                 return False
-            if c.witness["index"] != T.n_cosets:
-                return False
+            T = rec.table
             root_sum = Fraction(0)
             for r in P.relators:
                 if not r:
@@ -532,7 +529,6 @@ def verify(c: Certificate) -> bool:
             bound = 1 + T.n_cosets * (P.n_generators - 1 - root_sum)
             if str(bound) != c.witness["bound"]:
                 return False
-            rec = SubgroupRecord(T, T.n_cosets, True, T.subgroup_words)
             inv = abelian_invariants(
                 subgroup_presentation(P, rec, c.parameters["tietze_budget"])
             )
@@ -544,12 +540,9 @@ def verify(c: Certificate) -> bool:
             )
         if c.kind == Z_SURJECTION_WITNESS:
             P = parse_presentation(c.presentation)
-            T = _rebuild_table(P, c.witness)
-            if not _verify_table_against(P, T) or not is_normal(T):
+            rec = _normal_record(P, c.witness)
+            if rec is None:
                 return False
-            if c.witness["index"] != T.n_cosets:
-                return False
-            rec = SubgroupRecord(T, T.n_cosets, True, T.subgroup_words)
             inv = abelian_invariants(
                 subgroup_presentation(P, rec, c.parameters["tietze_budget"])
             )
@@ -565,12 +558,9 @@ def verify(c: Certificate) -> bool:
         if c.kind == P_LARGE_WITNESS:
             P = parse_presentation(c.presentation)
             p = c.parameters["p"]
-            T = _rebuild_table(P, c.witness)
-            if not _verify_table_against(P, T) or not is_normal(T):
+            rec = _normal_record(P, c.witness)
+            if rec is None or not _is_p_power(rec.index, p):
                 return False
-            if c.witness["index"] != T.n_cosets or not _is_p_power(T.n_cosets, p):
-                return False
-            rec = SubgroupRecord(T, T.n_cosets, True, T.subgroup_words)
             H = subgroup_presentation(P, rec, c.parameters["tietze_budget"])
             return _check_free_quotient(H, c)
         raise MalformedCertificate(f"unknown kind {c.kind!r}")

@@ -13,8 +13,8 @@ import sys
 
 from . import certificates as certs
 from .abelian import abelian_invariants
-from .cosets import DEFAULT_MAX_COSETS, CosetTable, Exhausted, is_normal, todd_coxeter
-from .lowindex import SubgroupRecord, low_index_normal, low_index_subgroups
+from .cosets import DEFAULT_MAX_COSETS, Exhausted, todd_coxeter
+from .lowindex import low_index_normal, low_index_subgroups, subgroup_record
 from .presentations import (
     DEFAULT_TIETZE_BUDGET,
     ParseError,
@@ -27,7 +27,7 @@ from .presentations import (
     print_word,
     tietze_simplify,
 )
-from .rewriting import reidemeister_schreier, schreier_generators
+from .rewriting import reidemeister_schreier
 from .words import is_prime
 
 
@@ -155,12 +155,6 @@ def _cmd_dump_table(args) -> int:
     return 0
 
 
-def _record_from_table(P: Presentation, table) -> SubgroupRecord:
-    gens = tuple(w for _, w in schreier_generators(table))
-    full = CosetTable(P.n_generators, table.rows, complete=True, subgroup_words=gens)
-    return SubgroupRecord(full, full.n_cosets, is_normal(full), gens)
-
-
 def _cmd_certify(args) -> int:
     if args.what == "power-quotient":
         cert = certs.power_quotient_largeness(args.rank, args.count, args.exponent)
@@ -182,7 +176,7 @@ def _cmd_certify(args) -> int:
         result = _enumerate(P, args)
         if isinstance(result, Exhausted):
             return _print_exhausted(result.max_cosets, args.json)
-        rec = _record_from_table(P, result)
+        rec = subgroup_record(result)
         if not rec.normal:
             raise CliError("the given subgroup is not normal")
         cert = certs.allcock_rank_bound(P, rec, args.tietze_budget)

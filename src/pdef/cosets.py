@@ -91,14 +91,36 @@ def power_survives(T: CosetTable, w: Word, r: int) -> bool:
 
 
 def is_normal(T: CosetTable) -> bool:
-    """True when the table's subgroup words fix every coset.  With the
-    words generating the subgroup this characterizes normality."""
+    """True when the subgroup at coset 1 is normal, decided on the table
+    alone: for each generator g the map 1 -> 1.g extends to a permutation
+    of the cosets commuting with the action.  Subgroup words are ignored."""
     if not T.complete:
         raise IncompleteTableError("normality check requires a complete table")
-    for s in T.subgroup_words:
-        for i in range(1, T.n_cosets + 1):
-            if trace(T, i, s) != i:
-                return False
+    return _rows_normal(T.rows)
+
+
+def _rows_normal(rows) -> bool:
+    """``is_normal`` on complete 1-based rows, without the table wrapper
+    (the low-index search tests every table it finds).
+
+    For each generator g, grow the map 1 -> 1.g along the action by one
+    breadth-first pass, requiring (x.c)^phi = (x^phi).c for every column
+    c.  The map is well defined exactly when H lies in Stab(1.g) = g^-1 H g,
+    which has the same index, so H = g^-1 H g; holding for every generator,
+    this is normality.  O(n N) per generator."""
+    for col in range(0, len(rows[0]), 2):
+        phi = [0] * (len(rows) + 1)
+        phi[1] = rows[0][col]
+        if phi[1] == 1:
+            continue  # g lies in H
+        queue = [1]
+        for x in queue:
+            for u, v in zip(rows[x - 1], rows[phi[x] - 1]):
+                if not phi[u]:
+                    phi[u] = v
+                    queue.append(u)
+                elif phi[u] != v:
+                    return False
     return True
 
 
@@ -121,6 +143,15 @@ def validate_table(P: Presentation, T: CosetTable) -> None:
         col = [row[g] for row in T.rows]
         if sorted(col) != list(range(1, N + 1)):
             raise TableInvariantError(f"column {g} is not a permutation")
+    reached = {1}
+    frontier = [1]
+    for i in frontier:
+        for j in T.rows[i - 1]:
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    if len(reached) != N:
+        raise TableInvariantError("cosets not all reachable from coset 1")
     for r in P.relators:
         for i in range(1, N + 1):
             if trace(T, i, r) != i:

@@ -222,3 +222,46 @@ def random_spanning_transversal(rng, table):
         reps[j - 1] = reduce(reps[i - 1].letters + (letter,))
         remaining.discard(j)
     return reps
+
+
+def normal_by_conjugates(table, rng) -> bool:
+    """Normality of the subgroup H at coset 1 by definition.  H is
+    generated by the Schreier generators rep_i * g * rep_(i.g)^-1 of a
+    random spanning transversal, and H is normal exactly when every
+    conjugate rep_c * s * rep_c^-1 of every such generator s fixes coset 1."""
+    rows = table.rows
+    reps = random_spanning_transversal(rng, table)
+
+    def image(c, letters):
+        for ell in letters:
+            c = rows[c - 1][2 * (abs(ell) - 1) + (1 if ell < 0 else 0)]
+        return c
+
+    def inverse(letters):
+        return tuple(-ell for ell in reversed(letters))
+
+    for i in range(1, table.n_cosets + 1):
+        for g in range(1, table.n_generators + 1):
+            j = rows[i - 1][2 * (g - 1)]
+            s = reps[i - 1].letters + (g,) + inverse(reps[j - 1].letters)
+            for rep in reps:
+                if image(1, rep.letters + s + inverse(rep.letters)) != 1:
+                    return False
+    return True
+
+
+def brute_force_tables(n_generators, relators, max_index):
+    """Canonical tables of every subgroup of index <= max_index: one per
+    transitive action on 0..n-1 satisfying the relators, n <= max_index,
+    trying every tuple of generator permutations in S_n^n_generators."""
+    from itertools import permutations, product
+
+    tables = set()
+    for degree in range(1, max_index + 1):
+        identity = tuple(range(degree))
+        for perms in product(permutations(range(degree)), repeat=n_generators):
+            if all(word_permutation(r, perms) == identity for r in relators):
+                rows = table_from_permutations(n_generators, perms)
+                if rows is not None:
+                    tables.add(rows)
+    return tables

@@ -296,6 +296,14 @@ def test_tampered_certificates_fail(dinf, rank4_pres):
     assert not verify(from_json(json.dumps(d)))
 
 
+def test_intransitive_table_fails_verify(dinf):
+    # two fixed points satisfy every relator, but coset 2 is unreachable
+    # from coset 1, so this is no coset table
+    d = json.loads(to_json(find_z_surjection(dinf, 2)))
+    d["witness"]["table"] = [[1, 1, 1, 1], [2, 2, 2, 2]]
+    assert not verify(from_json(json.dumps(d)))
+
+
 def test_mutation_fuzz(dinf, rank4_pres, triangle_power_pres):
     rng = random.Random(53)
     base_certs = [

@@ -13,7 +13,7 @@ from pdef import (
     trace,
     validate_table,
 )
-from pdef.cosets import IncompleteTableError, canonicalize_rows
+from pdef.cosets import IncompleteTableError, canonicalize_rows, table_from_rows
 from oracles import perm_closure, quaternion_group, word_permutation
 
 
@@ -91,6 +91,15 @@ def test_is_normal(dinf, s3_pres):
     Ta = _enumerate(s3_pres, [Word((1,))])
     assert Ta.n_cosets == 3
     assert not is_normal(Ta)
+
+
+def test_is_normal_needs_no_subgroup_words(s3_pres, dinf):
+    # rows read back from JSON carry no subgroup words; normality must
+    # still be decided, not default to True
+    Ta = _enumerate(s3_pres, [Word((1,))])
+    assert not is_normal(table_from_rows(2, Ta.rows))
+    Tab = _enumerate(dinf, [parse_word("x1*x2", dinf.generator_names)])
+    assert is_normal(table_from_rows(2, Tab.rows))
 
 
 def test_incomplete_table_rejected(dinf):

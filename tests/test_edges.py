@@ -60,6 +60,11 @@ def test_validator_rejects_corruption(dinf):
     with pytest.raises(TableInvariantError):
         validate_table(odd, todd_coxeter(dinf, [Word((1, 2))]))
 
+    # every coset satisfies the relators, but coset 2 is unreachable
+    split = CosetTable(2, ((1, 1, 1, 1), (2, 2, 2, 2)), complete=True)
+    with pytest.raises(TableInvariantError):
+        validate_table(dinf, split)
+
     incomplete = CosetTable(2, T.rows, complete=False)
     with pytest.raises(TableInvariantError):
         validate_table(dinf, incomplete)

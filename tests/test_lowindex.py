@@ -1,14 +1,29 @@
 import random
+import time
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdef import (
+    Presentation,
     abelian_invariants,
+    is_normal,
     low_index_normal,
     low_index_subgroups,
     parse_presentation,
+    reduce,
     validate_table,
 )
 from pdef.cosets import canonicalize_rows
-from oracles import all_subgroups, perm_closure, table_from_permutations, word_permutation
+from oracles import (
+    all_subgroups,
+    brute_force_tables,
+    normal_by_conjugates,
+    perm_closure,
+    table_from_permutations,
+    word_permutation,
+)
 
 
 def test_infinite_cyclic():
@@ -143,3 +158,47 @@ def test_order_is_deterministic(triangle_power_pres):
     assert a == b
     keys = [(r.index, tuple(x for row in r.table.rows for x in row)) for r in a]
     assert keys == sorted(keys)
+
+
+def test_table_normality_matches_conjugate_oracle(finite_corpus, dinf):
+    rng = random.Random(5)
+    z2_z3 = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3")
+    f2 = parse_presentation("gens: a, b")
+    cases = [(P, 8) for P in finite_corpus] + [(dinf, 8), (z2_z3, 8), (f2, 5)]
+    for P, max_index in cases:
+        recs = low_index_subgroups(P, max_index)
+        for rec in recs:
+            assert is_normal(rec.table) == rec.normal == normal_by_conjugates(rec.table, rng)
+        assert low_index_normal(P, max_index) == [rec for rec in recs if rec.normal]
+
+
+def test_free_group_normal_counts():
+    # index-n normal subgroups of F2 are kernels of 2-generated groups of
+    # order n, counted by epimorphisms / |Aut|: 1, 3, 4, 7, 6, 15
+    F2 = parse_presentation("gens: a, b")
+    counts = Counter(rec.index for rec in low_index_normal(F2, 6))
+    assert [counts[n] for n in range(1, 7)] == [1, 3, 4, 7, 6, 15]
+
+
+def test_deep_search_is_iterative():
+    # the search path is 1200 cosets deep; one subgroup per divisor of 1200
+    P = parse_presentation("gens: a\nrel: a^1200")
+    start = time.perf_counter()
+    recs = low_index_subgroups(P, 1200)
+    assert time.perf_counter() - start < 20
+    assert [rec.index for rec in recs] == [d for d in range(1, 1201) if 1200 % d == 0]
+    assert len(recs) == 30 and all(rec.normal for rec in recs)
+
+
+_relators = st.lists(
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5).map(reduce),
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relators)
+def test_search_matches_brute_force(relators):
+    P = Presentation(("a", "b"), tuple(relators))
+    got = {rec.table.rows for rec in low_index_subgroups(P, 4)}
+    assert got == brute_force_tables(2, P.relators, 4)
