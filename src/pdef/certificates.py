@@ -26,6 +26,7 @@ from .cosets import (
 from .lowindex import SubgroupRecord, low_index_normal, subgroup_record
 from .presentations import (
     DEFAULT_TIETZE_BUDGET,
+    ParseError,
     Presentation,
     p_deficiency,
     parse_presentation,
@@ -209,6 +210,31 @@ def _issue(cert: Certificate) -> Certificate:
     return cert
 
 
+def _allcock_bound(P: Presentation, T: CosetTable) -> tuple[Fraction | None, int | None]:
+    """(1 + N(n - 1 - sum 1/r_j), None) when the table keeps every relator
+    root u_j of u_j^r_j (r_j maximal) alive to its full order r_j, else
+    (None, j) for the first relator j whose root dies early."""
+    root_sum = Fraction(0)
+    for j, r in enumerate(P.relators):
+        if not r:
+            continue  # empty relators impose nothing
+        dec = primitive_root(r)
+        if not power_survives(T, dec.exact_root(), dec.exponent):
+            return None, j
+        root_sum += Fraction(1, dec.exponent)
+    return 1 + T.n_cosets * (P.n_generators - 1 - root_sum), None
+
+
+def _measured_rank(P: Presentation, rec: SubgroupRecord, c: Certificate) -> int | None:
+    """Free rank of the rewritten subgroup's abelianization, or None unless
+    its invariants equal the certificate's stored {rank, torsion}."""
+    inv = abelian_invariants(subgroup_presentation(P, rec, c.parameters["tietze_budget"]))
+    stored = c.witness["abelian_invariants"]
+    if inv.free_rank == stored["rank"] and list(inv.torsion) == stored["torsion"]:
+        return inv.free_rank
+    return None
+
+
 def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -264,26 +290,20 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
     N = rec.index
     text = print_presentation(P)
     params = {"tietze_budget": budget, "bound_formula": RANK_BOUND_FORMULA}
-    root_sum = Fraction(0)
-    for j, r in enumerate(P.relators):
-        if not r:
-            continue  # empty relators impose nothing
-        dec = primitive_root(r)
-        if not power_survives(T, dec.exact_root(), dec.exponent):
-            return Certificate(
-                kind=INCONCLUSIVE,
-                presentation=text,
-                parameters={
-                    **params,
-                    "reason": "hypothesis fails: a proper power of a relator root lies in the subgroup",
-                    "failing_relator": j,
-                },
-                witness={"index": N, "table": _table_payload(T)},
-                conclusions=[],
-                verified=True,
-            )
-        root_sum += Fraction(1, dec.exponent)
-    bound = 1 + N * (P.n_generators - 1 - root_sum)
+    bound, failing = _allcock_bound(P, T)
+    if bound is None:
+        return Certificate(
+            kind=INCONCLUSIVE,
+            presentation=text,
+            parameters={
+                **params,
+                "reason": "hypothesis fails: a proper power of a relator root lies in the subgroup",
+                "failing_relator": failing,
+            },
+            witness={"index": N, "table": _table_payload(T)},
+            conclusions=[],
+            verified=True,
+        )
     inv = abelian_invariants(subgroup_presentation(P, rec, budget))
     if inv.free_rank < math.ceil(bound):
         raise AssertionError("measured rank fell below the guaranteed bound")
@@ -437,6 +457,8 @@ def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:
     rest = q
     p = 2
     while rest > 1:
+        if p * p > rest:
+            p = rest  # no factor up to its square root: what is left is prime
         if rest % p == 0:
             lp = 0
             while rest % p == 0:
@@ -517,41 +539,18 @@ def verify(c: Certificate) -> bool:
             rec = _normal_record(P, c.witness)
             if rec is None:
                 return False
-            T = rec.table
-            root_sum = Fraction(0)
-            for r in P.relators:
-                if not r:
-                    continue
-                dec = primitive_root(r)
-                if not power_survives(T, dec.exact_root(), dec.exponent):
-                    return False
-                root_sum += Fraction(1, dec.exponent)
-            bound = 1 + T.n_cosets * (P.n_generators - 1 - root_sum)
-            if str(bound) != c.witness["bound"]:
+            bound, _ = _allcock_bound(P, rec.table)
+            if bound is None or str(bound) != c.witness["bound"]:
                 return False
-            inv = abelian_invariants(
-                subgroup_presentation(P, rec, c.parameters["tietze_budget"])
-            )
-            stored = c.witness["abelian_invariants"]
-            return (
-                inv.free_rank == stored["rank"]
-                and list(inv.torsion) == stored["torsion"]
-                and inv.free_rank >= math.ceil(bound)
-            )
+            rank = _measured_rank(P, rec, c)
+            return rank is not None and rank >= math.ceil(bound)
         if c.kind == Z_SURJECTION_WITNESS:
             P = parse_presentation(c.presentation)
             rec = _normal_record(P, c.witness)
             if rec is None:
                 return False
-            inv = abelian_invariants(
-                subgroup_presentation(P, rec, c.parameters["tietze_budget"])
-            )
-            stored = c.witness["abelian_invariants"]
-            return (
-                inv.free_rank == stored["rank"]
-                and list(inv.torsion) == stored["torsion"]
-                and inv.free_rank >= 1
-            )
+            rank = _measured_rank(P, rec, c)
+            return rank is not None and rank >= 1
         if c.kind == FREE_QUOTIENT_WITNESS:
             H = parse_presentation(c.presentation)
             return _check_free_quotient(H, c)
@@ -564,9 +563,9 @@ def verify(c: Certificate) -> bool:
             H = subgroup_presentation(P, rec, c.parameters["tietze_budget"])
             return _check_free_quotient(H, c)
         raise MalformedCertificate(f"unknown kind {c.kind!r}")
-    except MalformedCertificate:
+    except (MalformedCertificate, ParseError):
         raise
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise MalformedCertificate(f"payload missing or mistyped: {e}") from e
 
 

@@ -1,7 +1,22 @@
-"""Todd-Coxeter coset enumeration (HLT with lookahead) and coset-table queries.
+"""Coset tables: the one enumeration kernel and the table queries.
 
 Tables are canonical: cosets are numbered 1..N in breadth-first discovery
 order with coset 1 the subgroup, and columns run g1, g1^-1, ..., gn, gn^-1.
+
+While enumerating, a table is one flat integer list: coset c's row is
+``tab[c*ncols:(c+1)*ncols]`` and 0 marks an undefined entry.  ``_scan``
+walks a relator cycle through it from both ends; ``todd_coxeter`` and the
+low-index search (``lowindex``) both check relators with it.  An
+inconsistent closure is a coincidence for the first and a dead branch
+for the second.
+
+``todd_coxeter`` is HLT with lookahead, in a fixed order: the subgroup
+words at coset 1, then at each live coset every relator followed by a new
+coset for each entry still undefined.  When the coset bound is hit, a
+lookahead pass scans every relator at every live coset without defining,
+and the pass restarts if that freed any cosets.  Coincidences merge
+through a union-find forest keeping the smaller coset, the dead cosets
+processed first in, first out.
 """
 
 from __future__ import annotations
@@ -12,10 +27,6 @@ from .presentations import Presentation
 from .words import Word, cyclic_reduce
 
 DEFAULT_MAX_COSETS = 100000
-
-
-class IncompleteTableError(ValueError):
-    pass
 
 
 class TableInvariantError(ValueError):
@@ -30,14 +41,43 @@ def _cols(w: Word) -> tuple[int, ...]:
     return tuple(_col(ell) for ell in w.letters)
 
 
+def _relator_cols(P: Presentation) -> list[tuple[int, ...]]:
+    """The columns of each relator's cyclically reduced core, skipping
+    relators that reduce to the empty word."""
+    return [cols for cols in (_cols(cyclic_reduce(r)[1]) for r in P.relators) if cols]
+
+
+def _scan(tab: list[int], ncols: int, f: int, b: int, word, i: int, j: int):
+    """Scan word[i..j] forward from coset f, then backward from coset b,
+    through the defined entries of the flat table; returns (f, i, b, j).
+
+    i > j: the cycle closed, consistently exactly when f == b.
+    i == j: one entry is missing, and f.word[i] = b is forced.
+    i < j: the gap word[i..j] is longer."""
+    while i <= j:
+        x = tab[f * ncols + word[i]]
+        if not x:
+            break
+        f = x
+        i += 1
+    else:
+        return f, i, b, j
+    while j >= i:
+        x = tab[b * ncols + (word[j] ^ 1)]
+        if not x:
+            break
+        b = x
+        j -= 1
+    return f, i, b, j
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Action of generators on cosets; rows[i-1][c] is the image of coset i
-    under column c (0 marks an undefined entry in a partial table)."""
+    under column c."""
 
     n_generators: int
     rows: tuple[tuple[int, ...], ...]
-    complete: bool
     subgroup_words: tuple[Word, ...] = ()
 
     @property
@@ -59,8 +99,6 @@ class Exhausted:
 
 def trace(T: CosetTable, start: int, w: Word) -> int:
     """Image coset of ``start`` under the word ``w``."""
-    if not T.complete:
-        raise IncompleteTableError("trace requires a complete table")
     c = start
     for ell in w.letters:
         c = T.rows[c - 1][_col(ell)]
@@ -69,16 +107,12 @@ def trace(T: CosetTable, start: int, w: Word) -> int:
 
 def permutation_action(T: CosetTable) -> list[tuple[int, ...]]:
     """One permutation per generator: images of cosets 1..N, as tuples."""
-    if not T.complete:
-        raise IncompleteTableError("permutation action requires a complete table")
     return [tuple(row[2 * g] for row in T.rows) for g in range(T.n_generators)]
 
 
 def power_survives(T: CosetTable, w: Word, r: int) -> bool:
     """True when the orbit of coset 1 under w has length exactly r, i.e.
     no proper power w^k (0 < k < r) lies in the subgroup while w^r does."""
-    if not T.complete:
-        raise IncompleteTableError("power check requires a complete table")
     c = 1
     length = 0
     while True:
@@ -94,8 +128,6 @@ def is_normal(T: CosetTable) -> bool:
     """True when the subgroup at coset 1 is normal, decided on the table
     alone: for each generator g the map 1 -> 1.g extends to a permutation
     of the cosets commuting with the action.  Subgroup words are ignored."""
-    if not T.complete:
-        raise IncompleteTableError("normality check requires a complete table")
     return _rows_normal(T.rows)
 
 
@@ -126,8 +158,6 @@ def _rows_normal(rows) -> bool:
 
 def validate_table(P: Presentation, T: CosetTable) -> None:
     """Check every invariant of a complete table; raises TableInvariantError."""
-    if not T.complete:
-        raise TableInvariantError("table not complete")
     n, N = T.n_generators, T.n_cosets
     if n != P.n_generators:
         raise TableInvariantError("generator count mismatch")
@@ -176,103 +206,20 @@ def canonicalize_rows(n_generators: int, rows) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def table_from_rows(n_generators: int, rows, subgroup_words=()) -> CosetTable:
-    """Build a complete table from serialized rows, checking basic shape."""
+def table_from_rows(n_generators: int, rows) -> CosetTable:
+    """Build a table from serialized rows, checking basic shape."""
     rows = tuple(tuple(int(x) for x in row) for row in rows)
     if not rows:
         raise ValueError("a table needs at least one coset")
-    table = CosetTable(n_generators, rows, complete=True, subgroup_words=tuple(subgroup_words))
     N = len(rows)
     for row in rows:
         if len(row) != 2 * n_generators or any(not 1 <= x <= N for x in row):
             raise ValueError("malformed table rows")
-    return table
+    return CosetTable(n_generators, rows)
 
 
 class _Full(Exception):
     pass
-
-
-class _Enumeration:
-    """Mutable HLT state: 0-based table with a union-find over cosets."""
-
-    def __init__(self, n_generators: int, max_cosets: int):
-        self.ncols = 2 * n_generators
-        self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * self.ncols]
-        self.p = [0]
-        self.n_live = 1
-
-    def rep(self, k: int) -> int:
-        p = self.p
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
-
-    def define(self, alpha: int, col: int) -> None:
-        if self.n_live >= self.max_cosets:
-            raise _Full
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(beta)
-        self.n_live += 1
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
-
-    def merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.p[b] = a
-            self.n_live -= 1
-            queue.append(b)
-
-    def coincidence(self, a: int, b: int) -> None:
-        queue: list[int] = []
-        self.merge(a, b, queue)
-        while queue:
-            gamma = queue.pop(0)
-            for col in range(self.ncols):
-                delta = self.table[gamma][col]
-                if delta is None:
-                    continue
-                self.table[delta][col ^ 1] = None
-                mu, nu = self.rep(gamma), self.rep(delta)
-                if self.table[mu][col] is not None:
-                    self.merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self.merge(mu, self.table[nu][col ^ 1], queue)
-                else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
-
-    def scan(self, alpha: int, cols: tuple[int, ...], fill: bool) -> None:
-        f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
-        while True:
-            while i <= j and self.table[f][cols[i]] is not None:
-                f = self.table[f][cols[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and self.table[b][cols[j] ^ 1] is not None:
-                b = self.table[b][cols[j] ^ 1]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                self.table[f][cols[i]] = b
-                self.table[b][cols[i] ^ 1] = f
-                return
-            if not fill:
-                return
-            self.define(f, cols[i])
 
 
 def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_COSETS):
@@ -289,51 +236,116 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
         if w.max_index() > P.n_generators:
             raise ValueError("subgroup word uses an undeclared generator")
 
-    rel_cols = [_cols(cyclic_reduce(r)[1]) for r in P.relators]
-    rel_cols = [c for c in rel_cols if c]
+    ncols = 2 * P.n_generators
+    rel_cols = [(cols, len(cols) - 1) for cols in _relator_cols(P)]
     sub_cols = [_cols(w) for w in subgroup_words]
-    E = _Enumeration(P.n_generators, max_cosets)
+    tab = [0] * (2 * ncols)
+    p = [0, 1]  # union-find parents; a merge keeps the smaller coset
+    n_live = 1
+
+    def rep(k: int) -> int:
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def define(alpha: int, col: int) -> None:
+        nonlocal n_live
+        if n_live >= max_cosets:
+            raise _Full
+        beta = len(p)
+        p.append(beta)
+        tab.extend([0] * ncols)
+        n_live += 1
+        tab[alpha * ncols + col] = beta
+        tab[beta * ncols + (col ^ 1)] = alpha
+
+    def merge(a: int, b: int, dead: list[int]) -> None:
+        nonlocal n_live
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            p[b] = a
+            n_live -= 1
+            dead.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        dead: list[int] = []
+        merge(a, b, dead)
+        for gamma in dead:  # grows while it is walked: FIFO
+            for col in range(ncols):
+                delta = tab[gamma * ncols + col]
+                if not delta:
+                    continue
+                inv = col ^ 1
+                tab[delta * ncols + inv] = 0
+                mu, nu = rep(gamma), rep(delta)
+                if tab[mu * ncols + col]:
+                    merge(nu, tab[mu * ncols + col], dead)
+                elif tab[nu * ncols + inv]:
+                    merge(mu, tab[nu * ncols + inv], dead)
+                else:
+                    tab[mu * ncols + col] = nu
+                    tab[nu * ncols + inv] = mu
+
+    def finish(f: int, i: int, b: int, j: int, cols: tuple[int, ...], fill: bool) -> None:
+        """Act on a scan of cols stopped at (f, i, b, j): record a
+        deduction, fill a longer gap with new cosets if asked, and process
+        an inconsistent closure as a coincidence."""
+        while i <= j:
+            if i == j:
+                tab[f * ncols + cols[i]] = b
+                tab[b * ncols + (cols[i] ^ 1)] = f
+                return
+            if not fill:
+                return
+            define(f, cols[i])
+            f, i, b, j = _scan(tab, ncols, f, b, cols, i, j)
+        if f != b:
+            coincidence(f, b)
+
+    def scan_relators(alpha: int, fill: bool) -> bool:
+        """Scan every relator at alpha; False once alpha has died."""
+        for cols, last in rel_cols:
+            f, i, b, j = _scan(tab, ncols, alpha, alpha, cols, 0, last)
+            if i <= j or f != b:
+                finish(f, i, b, j, cols, fill)
+                if p[alpha] != alpha:
+                    return False
+        return True
 
     def run() -> bool:
         """One HLT pass; False when a definition hit the bound."""
         try:
             for cols in sub_cols:
-                E.scan(E.rep(0), cols, fill=True)
-            alpha = 0
-            while alpha < len(E.table):
-                if E.p[alpha] == alpha:
-                    for cols in rel_cols:
-                        E.scan(alpha, cols, fill=True)
-                        if E.p[alpha] != alpha:
-                            break
-                    if E.p[alpha] == alpha:
-                        for col in range(E.ncols):
-                            if E.table[alpha][col] is None:
-                                E.define(alpha, col)
+                alpha = rep(1)
+                finish(*_scan(tab, ncols, alpha, alpha, cols, 0, len(cols) - 1), cols, True)
+            alpha = 1
+            while alpha < len(p):
+                if p[alpha] == alpha and scan_relators(alpha, True):
+                    for col in range(ncols):
+                        if not tab[alpha * ncols + col]:
+                            define(alpha, col)
                 alpha += 1
             return True
         except _Full:
             return False
 
     while not run():
-        before = E.n_live
+        before = n_live
         # lookahead: scan everything without defining, harvesting collapses
-        for alpha in range(len(E.table)):
-            if E.p[alpha] == alpha:
-                for cols in rel_cols:
-                    E.scan(alpha, cols, fill=False)
-                    if E.p[alpha] != alpha:
-                        break
-        if E.n_live >= before:
+        for alpha in range(1, len(p)):
+            if p[alpha] == alpha:
+                scan_relators(alpha, False)
+        if n_live >= before:
             return Exhausted(max_cosets)
 
-    # resolve union-find and renumber canonically; merges always keep the
-    # smaller representative, so the subgroup coset 0 is still live
-    live = [i for i in range(len(E.table)) if E.p[i] == i]
-    assert live[0] == 0
-    index_of = {c: i + 1 for i, c in enumerate(live)}
-    raw = [
-        tuple(index_of[E.rep(E.table[c][col])] for col in range(E.ncols)) for c in live
-    ]
+    # resolve the union-find and renumber canonically; merges keep the
+    # smaller coset, so the subgroup coset 1 is still live
+    live = [c for c in range(1, len(p)) if p[c] == c]
+    index_of = {c: k for k, c in enumerate(live, start=1)}
+    raw = [tuple(index_of[rep(x)] for x in tab[c * ncols:(c + 1) * ncols]) for c in live]
     rows = canonicalize_rows(P.n_generators, raw)
-    return CosetTable(P.n_generators, rows, complete=True, subgroup_words=subgroup_words)
+    return CosetTable(P.n_generators, rows, subgroup_words=subgroup_words)

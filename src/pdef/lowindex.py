@@ -1,18 +1,18 @@
 """All subgroups of index <= n, by backtracking over partial coset tables.
 
-The search keeps one flat table (0 marks an undefined entry), an undo
-trail of the entries it wrote, and an explicit stack of branch points, so
-a branch costs the entries it defines and backtracking erases exactly
-those; no table is copied and nothing recurses.
+The search keeps one flat table in the layout of ``cosets`` (0 marks an
+undefined entry), an undo trail of the entries it wrote, and an explicit
+stack of branch points, so a branch costs the entries it defines and
+backtracking erases exactly those; no table is copied and nothing recurses.
 
-Each definition alpha.g = beta is a deduction.  It is checked by scanning,
-at alpha only, the cyclic rotations of each relator and of its inverse
-that begin with g (precomputed per column).  A scan that closes with one
-entry missing defines that entry and pushes it as a further deduction; a
-scan that closes inconsistently kills the branch.  Every relator cycle at
-every coset is scanned in full once its last entry is defined, so each
-complete table is a transitive permutation action satisfying the
-relators.
+Each definition alpha.g = beta is a deduction.  It is checked with
+``cosets._scan`` at alpha only, on the cyclic rotations of each relator and
+of its inverse that begin with g (precomputed per column).  A scan that
+leaves one entry missing defines that entry and pushes it as a further
+deduction; a scan that closes inconsistently kills the branch.  Every
+relator cycle at every coset is scanned in full once its last entry is
+defined, so each complete table is a transitive permutation action
+satisfying the relators.
 
 New cosets are only ever introduced at the first undefined entry in scan
 order, so every complete table the search emits is already in canonical
@@ -20,9 +20,8 @@ BFS numbering; distinct tables are distinct subgroups (not conjugacy
 classes), each appearing exactly once.
 
 Normality is decided on the table alone (the test behind
-``cosets.is_normal``), and Schreier generators are built only for the
-records returned: all of them for ``low_index_subgroups``, the normal ones
-for ``low_index_normal``.
+``cosets.is_normal``); records carry no subgroup generators, which
+``rewriting.schreier_generators`` builds from the table when needed.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cosets import CosetTable, _col, _rows_normal, is_normal
+from .cosets import CosetTable, _relator_cols, _rows_normal, _scan, is_normal
 from .presentations import Presentation
-from .rewriting import schreier_generators
-from .words import Word, cyclic_reduce, primitive_root
 
 
 @dataclass(frozen=True)
@@ -41,15 +38,11 @@ class SubgroupRecord:
     table: CosetTable
     index: int
     normal: bool
-    schreier_generators: tuple[Word, ...]
 
 
 def subgroup_record(T: CosetTable) -> SubgroupRecord:
-    """The record of the subgroup at coset 1 of a complete transitive
-    table: its Schreier generators become the table's subgroup words."""
-    gens = tuple(w for _, w in schreier_generators(T))
-    table = CosetTable(T.n_generators, T.rows, complete=True, subgroup_words=gens)
-    return SubgroupRecord(table, table.n_cosets, is_normal(table), gens)
+    """The record of the subgroup at coset 1 of a complete transitive table."""
+    return SubgroupRecord(T, T.n_cosets, is_normal(T))
 
 
 def _rotations(P: Presentation, ncols: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
@@ -58,16 +51,12 @@ def _rotations(P: Presentation, ncols: int) -> list[list[tuple[tuple[int, ...], 
     doubled[first:last + 1].  A relator u^m has only len(u) distinct
     rotations, so long powers cost no more than their root."""
     rots: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(ncols)]
-    for r in P.relators:
-        core = cyclic_reduce(r)[1]
-        if not core:
-            continue
-        period = len(primitive_root(core).root)
-        for w in (core, core.inverse()):
-            cols = tuple(_col(ell) for ell in w.letters)
-            doubled = cols + cols
+    for cols in _relator_cols(P):
+        period = next(k for k in range(1, len(cols) + 1) if cols[k:] + cols[:k] == cols)
+        for w in (cols, tuple(c ^ 1 for c in reversed(cols))):
+            doubled = w + w
             for k in range(period):
-                rots[cols[k]].append((doubled, k, k + len(cols) - 1))
+                rots[w[k]].append((doubled, k, k + len(w) - 1))
     return rots
 
 
@@ -78,8 +67,8 @@ def _complete_tables(P: Presentation, max_index: int) -> Iterator[CosetTable]:
         raise ValueError("max_index must be at least 1")
     ncols = 2 * P.n_generators
     rots = _rotations(P, ncols)
-    # coset c's row is tab[c*ncols:(c+1)*ncols]; rows are added as cosets
-    # first appear, so a huge max_index allocates nothing up front
+    # rows are added as cosets first appear, so a huge max_index
+    # allocates nothing up front
     tab = [0] * (2 * ncols)
     trail: list[int] = []  # flat positions written since the root, in order
 
@@ -94,28 +83,11 @@ def _complete_tables(P: Presentation, max_index: int) -> Iterator[CosetTable]:
             trail.append(k)
             trail.append(m)
             for word, i, j in rots[col]:
-                f = alpha
-                while i <= j:
-                    x = tab[f * ncols + word[i]]
-                    if not x:
-                        break
-                    f = x
-                    i += 1
-                else:
-                    if f != alpha:
-                        return False
-                    continue
-                b = alpha
-                while j >= i:
-                    x = tab[b * ncols + (word[j] ^ 1)]
-                    if not x:
-                        break
-                    b = x
-                    j -= 1
-                if j < i:
-                    return False
-                if j == i:  # one gap: f.word[i] = b is forced
+                f, i, b, j = _scan(tab, ncols, alpha, alpha, word, i, j)
+                if i == j:  # one gap: f.word[i] = b is forced
                     pending.append((f, word[i], b))
+                elif i > j and f != b:
+                    return False
             # a forced entry is free when found, but an earlier one may
             # have taken it since: the same entry is skipped, a clash fails
             while pending:
@@ -137,7 +109,7 @@ def _complete_tables(P: Presentation, max_index: int) -> Iterator[CosetTable]:
             pos += 1
         if pos == end:
             rows = tuple(tuple(tab[c * ncols:(c + 1) * ncols]) for c in range(1, n + 1))
-            yield CosetTable(P.n_generators, rows, complete=True)
+            yield CosetTable(P.n_generators, rows)
         else:
             alpha, col = divmod(pos, ncols)
             frames.append([len(trail), n, alpha, col, 1])

@@ -6,7 +6,7 @@ from __future__ import annotations
 import string
 from typing import TYPE_CHECKING
 
-from .cosets import CosetTable, IncompleteTableError, _col
+from .cosets import CosetTable, _col
 from .presentations import DEFAULT_TIETZE_BUDGET, Presentation, tietze_simplify
 from .words import EPSILON, Word, reduce
 
@@ -17,8 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover
 def schreier_transversal(T: CosetTable) -> list[Word]:
     """BFS coset representatives; entry i-1 represents coset i, coset 1
     gets the empty word, and the set is prefix closed."""
-    if not T.complete:
-        raise IncompleteTableError("transversal requires a complete table")
     reps: list[Word | None] = [None] * T.n_cosets
     reps[0] = EPSILON
     order = [1]
@@ -59,8 +57,6 @@ def reidemeister_schreier(P: Presentation, T: CosetTable, transversal=None) -> P
     subgroup at coset 1, on the nontrivial Schreier generators, with one
     rewritten relator per (relator, coset) pair — N(n-1)+1 generators and
     N*m relators, kept verbatim (no simplification here)."""
-    if not T.complete:
-        raise IncompleteTableError("rewriting requires a complete table")
     reps = transversal if transversal is not None else schreier_transversal(T)
     gens = schreier_generators(T, reps)
     index_of = {pair: k + 1 for k, (pair, _) in enumerate(gens)}

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,25 @@ def test_power_quotient_largeness():
 
     with pytest.raises(ValueError):
         power_quotient_largeness(2, 1, 0)
+
+
+def test_huge_primes_are_bounded():
+    # trial division now stops at the square root of the cofactor, and
+    # primality is Miller-Rabin: each call used to run for minutes or hang
+    start = time.perf_counter()
+    for q, p in ((10000000019, 10000000019), (6 * 10000000019, 10000000019), (8 * 10000000019, 2)):
+        cert = power_quotient_largeness(2, 5, q)
+        assert cert.kind == POWER_QUOTIENT_LARGE and cert.parameters["p"] == p
+        assert verify(from_json(to_json(cert)))
+    by_deficiency = certify_p_large_by_deficiency(parse_presentation("gens: x, y\nrel: x^2"), 2)
+    for cert in (power_quotient_largeness(2, 3, 8), by_deficiency):
+        d = json.loads(to_json(cert))
+        d["parameters"]["p"] = 1000000000000000003
+        assert not verify(from_json(json.dumps(d)))
+        d["parameters"]["p"] = 10**25
+        with pytest.raises(MalformedCertificate):
+            verify(from_json(json.dumps(d)))
+    assert time.perf_counter() - start < 2
 
 
 def test_power_quotient_agrees_with_deficiency():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +142,15 @@ def test_certify_power_quotient(capsys):
     assert code == 1
 
 
+def test_huge_integers_are_bounded(capsys, p_file):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "power-quotient", "2", "5", "10000000019")
+    assert code == 0 and "  p: 10000000019" in out
+    code, _, err = run(capsys, "def", "-p", str(10**25), p_file)
+    assert code == 2 and "too large" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_exhaustion_exit_code(capsys, tmp_path):
     f = tmp_path / "free.grp"
     f.write_text("gens: x, y\n")
@@ -184,8 +195,10 @@ def test_deterministic_bytes(p_file):
         sys.executable, "-m", "pdef", "certify", "p-large", "-p", "3",
         "--max-index", "3", "--kill-budget", "3", "--json", p_file,
     ]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    # the child imports the same pdef as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == 0 and a.stdout == b.stdout
 
 

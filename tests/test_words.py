@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from pdef import (
     reduce,
     word_power,
 )
+from pdef.words import is_prime
 from oracles import brute_force_nu, random_reduced_word
 
 
@@ -117,3 +119,15 @@ def test_nu_p_matches_brute_force():
             base = random_reduced_word(rng, 2, rng.randrange(1, 5))
             w = word_power(base, rng.randrange(1, 9))
             assert nu_p(w, p) == brute_force_nu(w, p)
+
+
+def test_is_prime_is_exact_and_bounded():
+    small = [n for n in range(2, 5000) if all(n % f for f in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(-3, 5000) if is_prime(n)] == small
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
+    assert not is_prime(318665857834031151167461)  # ... and to bases 2..37
+    start = time.perf_counter()
+    assert is_prime(1000000000000000003)  # trial division never finished
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        is_prime(10**25)  # beyond the range the 13 bases decide
