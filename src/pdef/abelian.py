@@ -165,12 +165,17 @@ def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
     return factors, None
 
 
-def abelian_invariants(P: Presentation) -> AbelianInvariants:
-    """Invariants of the cokernel of the relator exponent-sum matrix."""
-    factors, _ = smith_normal_form(relator_matrix(P))
+def cokernel_invariants(M: IntegerMatrix, n_columns: int) -> AbelianInvariants:
+    """Invariants of Z^n_columns modulo the span of M's rows."""
+    factors, _ = smith_normal_form(M)
     rank = sum(1 for d in factors if d != 0)
     torsion = tuple(d for d in factors if d not in (0, 1))
-    return AbelianInvariants(free_rank=P.n_generators - rank, torsion=torsion)
+    return AbelianInvariants(free_rank=n_columns - rank, torsion=torsion)
+
+
+def abelian_invariants(P: Presentation) -> AbelianInvariants:
+    """Invariants of the cokernel of the relator exponent-sum matrix."""
+    return cokernel_invariants(relator_matrix(P), P.n_generators)
 
 
 def surjects_onto_Z(P: Presentation) -> bool:

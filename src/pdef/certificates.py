@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .abelian import abelian_invariants
+from .abelian import IntegerMatrix, abelian_invariants, cokernel_invariants, relator_matrix
 from .cosets import (
     CosetTable,
     TableInvariantError,
@@ -365,12 +365,26 @@ def certify_free_quotient(H: Presentation, kill_budget: int,
                           budget: int = DEFAULT_TIETZE_BUDGET) -> Certificate:
     """Look for generators whose removal frees the presentation: kill-set
     subsets are tried smallest first, in generator order, at most
-    kill_budget generators at a time.  Sound but incomplete."""
+    kill_budget generators at a time.  Sound but incomplete.
+
+    A subset is simplified only when the quotient's abelianization (H's
+    exponent-sum matrix without the subset's columns) is free abelian of
+    rank >= 2.  Tietze moves keep the group, also when the step budget
+    stops them, and a relator-free presentation on k generators abelianizes
+    to Z^k, so the skipped subsets could never succeed: the first kill set
+    found is the same as without the check."""
     text = print_presentation(H)
     params = {"kill_budget": kill_budget, "tietze_budget": budget}
     n = H.n_generators
+    exponent_sums = relator_matrix(H).entries
     for size in range(0, min(kill_budget, n - 2) + 1):
         for subset in combinations(range(1, n + 1), size):
+            keep = [g - 1 for g in range(1, n + 1) if g not in subset]
+            inv = cokernel_invariants(
+                IntegerMatrix(tuple(tuple(row[c] for c in keep) for row in exponent_sums)), len(keep)
+            )
+            if inv.torsion or inv.free_rank < 2:
+                continue
             Q = tietze_simplify(
                 quotient_by_words(H, [Word((g,)) for g in subset]), budget
             )
@@ -445,6 +459,69 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
     )
 
 
+_TRIAL_LIMIT = 1000
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n: Brent's variant of Pollard's rho,
+    deterministic (start 2, increments c = 1, 2, ... until one splits n)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _split(n: int) -> list[int]:
+    """Prime factors of n > 1, with multiplicity, unsorted."""
+    if is_prime(n):
+        return [n]
+    d = _pollard_brent(n)
+    return _split(d) + _split(n // d)
+
+
+def _prime_powers(q: int):
+    """(p, l_p) for each prime p | q in ascending order, p^(l_p) exactly
+    dividing q: trial division up to _TRIAL_LIMIT (or the square root of
+    what is left), then Pollard-Brent rho on a composite cofactor, whose
+    prime factors all exceed the trial bound.  is_prime raises ValueError
+    on a cofactor from psi_13 on."""
+    rest, p = q, 2
+    while rest > 1 and p <= _TRIAL_LIMIT:
+        if p * p > rest:
+            p = rest  # no factor up to its square root: what is left is prime
+        if rest % p == 0:
+            lp = 0
+            while rest % p == 0:
+                rest //= p
+                lp += 1
+            yield p, lp
+        p += 1
+    if rest > 1:
+        factors = _split(rest)
+        for p in sorted(set(factors)):
+            yield p, factors.count(p)
+
+
 def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:
     """Largeness of a rank-r free group modulo k normal q-th powers:
     fires for the smallest prime p | q with p^(l_p) > k/(r-1), where
@@ -454,33 +531,23 @@ def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:
     if r < 2 or k < 0 or q < 1:
         raise ValueError("need rank >= 2, k >= 0, q >= 1")
     params = {"rank": r, "num_powers": k, "exponent": q}
-    rest = q
-    p = 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest  # no factor up to its square root: what is left is prime
-        if rest % p == 0:
-            lp = 0
-            while rest % p == 0:
-                rest //= p
-                lp += 1
-            if Fraction(p**lp) > Fraction(k, r - 1):
-                bound = r - Fraction(k, p**lp)
-                cert = Certificate(
-                    kind=POWER_QUOTIENT_LARGE,
-                    presentation=None,
-                    parameters={**params, "p": p},
-                    witness={"bound": str(bound)},
-                    conclusions=[
-                        Conclusion(
-                            f"quotient of a rank-{r} free group by {k} normal {q}-th powers is p-large",
-                            "Cor 2.5",
-                        ),
-                        Conclusion("large", "Cor 2.5"),
-                    ],
-                )
-                return _issue(cert)
-        p += 1
+    for p, lp in _prime_powers(q):
+        if Fraction(p**lp) > Fraction(k, r - 1):
+            bound = r - Fraction(k, p**lp)
+            cert = Certificate(
+                kind=POWER_QUOTIENT_LARGE,
+                presentation=None,
+                parameters={**params, "p": p},
+                witness={"bound": str(bound)},
+                conclusions=[
+                    Conclusion(
+                        f"quotient of a rank-{r} free group by {k} normal {q}-th powers is p-large",
+                        "Cor 2.5",
+                    ),
+                    Conclusion("large", "Cor 2.5"),
+                ],
+            )
+            return _issue(cert)
     return Certificate(
         kind=INCONCLUSIVE,
         presentation=None,

@@ -280,6 +280,9 @@ def main(argv=None) -> int:
     except (CliError, ParseError, ValueError, certs.MalformedCertificate) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as e:
+        print(f"error: resource limit reached ({type(e).__name__})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

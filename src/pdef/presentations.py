@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,9 @@ from .words import Word, is_prime, nu_p, reduce
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 DEFAULT_TIETZE_BUDGET = 5000
+
+# longest word, in letters before free reduction, that the parser expands
+MAX_WORD_LENGTH = 1_000_000
 
 
 class ParseError(ValueError):
@@ -138,6 +142,10 @@ class _WordParser:
             raise ParseError(f"expected {value!r}, got {tok[1]!r}", self.line, tok[2])
         return tok
 
+    def _check_length(self, length: int, tok) -> None:
+        if length > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", self.line, tok[2])
+
     def parse_word(self) -> list[int]:
         letters = list(self.parse_term())
         while True:
@@ -146,7 +154,9 @@ class _WordParser:
                 return letters
             if tok[1] == "*":
                 self.take()
-            letters.extend(self.parse_term())
+            term = self.parse_term()
+            self._check_length(len(letters) + len(term), tok)
+            letters.extend(term)
 
     def parse_term(self) -> list[int]:
         letters = self.parse_atom()
@@ -164,6 +174,7 @@ class _WordParser:
                     stacklevel=6,
                 )
                 return []
+            self._check_length(len(letters) * abs(n), itok)
             if n < 0:
                 letters = [-ell for ell in reversed(letters)]
                 n = -n
@@ -185,7 +196,7 @@ class _WordParser:
             a = self.parse_word()
             self.expect(",")
             b = self.parse_word()
-            self.expect("]")
+            self._check_length(2 * (len(a) + len(b)), self.expect("]"))
             ainv = [-ell for ell in reversed(a)]
             binv = [-ell for ell in reversed(b)]
             return ainv + binv + a + b
@@ -330,58 +341,92 @@ def quotient_by_words(P: Presentation, extra) -> Presentation:
 # Tietze simplification
 
 
-def _cyclic_key(w: Word):
-    """Canonical representative of a relator up to rotation and inversion."""
-    core = _cyclic_core(w)
-    if not core:
-        return ()
-    candidates = []
-    for ls in (core, tuple(-ell for ell in reversed(core))):
-        for k in range(len(ls)):
-            candidates.append(ls[k:] + ls[:k])
-    return min(candidates)
+def _relator_key(r: tuple[int, ...]) -> tuple[int, ...]:
+    """Least rotation of a cyclically reduced relator or of its inverse:
+    one key per relator up to rotation and inversion."""
+    inv = tuple(-ell for ell in reversed(r))
+    return min(w[k:] + w[:k] for w in (r, inv) for k in range(len(w)))
 
 
-def _cyclic_core(w: Word) -> tuple[int, ...]:
-    ls = w.letters
-    i, j = 0, len(ls)
-    while j - i >= 2 and ls[i] == -ls[j - 1]:
-        i += 1
-        j -= 1
-    return ls[i:j]
-
-
-def _substitute(w: Word, gen: int, value: Word) -> Word:
-    """Replace generator ``gen`` by ``value`` throughout, then reduce."""
+def _substituted(r: tuple[int, ...], g: int, value: tuple[int, ...], vinv: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduced r with g replaced by value and g^-1 by vinv."""
     out: list[int] = []
-    vinv = value.inverse().letters
-    for ell in w.letters:
-        if ell == gen:
-            out.extend(value.letters)
-        elif ell == -gen:
-            out.extend(vinv)
+    for ell in r:
+        if ell == g or ell == -g:
+            piece = value if ell == g else vinv
+            # r and the piece are reduced: cancellation stops at the junction
+            i = 0
+            while out and i < len(piece) and out[-1] == -piece[i]:
+                out.pop()
+                i += 1
+            out.extend(piece[i:])
+        elif out and out[-1] == -ell:
+            out.pop()
         else:
             out.append(ell)
-    return reduce(out)
+    return tuple(out)
 
 
-def _drop_generator(w: Word, gen: int) -> Word:
-    """Renumber letters after deleting generator ``gen`` from the alphabet."""
-    return Word(tuple(ell - 1 if ell > gen else ell + 1 if ell < -gen else ell for ell in w.letters))
+def _cheapest_elimination(relators: list[tuple[int, ...]]):
+    """Least (new_total, g, ri, value) over the candidate eliminations, or
+    None when each would make the total relator length grow.  A candidate
+    is a relator ri and a generator g occurring in it exactly once, so
+    ri = 1 gives g = value; new_total is the total length after dropping ri
+    and replacing g by value in the other relators.  The relators are
+    nonempty and cyclically reduced."""
+    total = sum(map(len, relators))
+    counts = [Counter(map(abs, r)) for r in relators]
+    occurs: dict[int, list[int]] = {}  # g -> relators containing g or g^-1
+    for j, c in enumerate(counts):
+        for g in c:
+            occurs.setdefault(g, []).append(j)
+    # relators without g are reduced and keep their length
+    occ_len = {g: sum(len(relators[j]) for j in js) for g, js in occurs.items()}
+    best = None
+    # min(total, best new_total): lengths only add, so a candidate whose
+    # partial sum passes it can neither be accepted nor win
+    limit = total
+    for ri, r in enumerate(relators):
+        for k, head in enumerate(r):
+            g = abs(head)
+            if counts[ri][g] != 1:
+                continue
+            tail = r[k + 1:] + r[:k]  # head * tail is a rotation of ri
+            tinv = tuple(-ell for ell in reversed(tail))
+            value, vinv = (tail, tinv) if head < 0 else (tinv, tail)
+            new_total = total - occ_len[g]
+            for j in occurs[g]:
+                if j != ri:
+                    new_total += len(_substituted(relators[j], g, value, vinv))
+                    if new_total > limit:
+                        break
+            else:
+                if new_total <= limit and (best is None or (new_total, g, ri) < best[:3]):
+                    best = (new_total, g, ri, value)
+                    limit = new_total
+    return best
 
 
 def tietze_simplify(P: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Presentation:
-    """Greedy presentation simplification: cyclically reduce relators, drop
-    empty and rotation/inversion duplicates, and eliminate a generator when
-    some relator expresses it as a word in the others.  Each accepted step
-    keeps the total relator length from growing; the result presents an
-    isomorphic group.  Stops at a fixpoint or after ``budget`` steps (the
-    latter emits TietzeBudgetWarning)."""
+    """Greedy presentation simplification; the result presents an isomorphic
+    group.  Each pass first cyclically reduces the relators, then drops empty
+    relators and duplicates up to rotation and inversion, one step per
+    change; a pass that changed something starts over.  Otherwise it
+    eliminates one generator g through a relator ri in which g occurs exactly
+    once, choosing the least (new total relator length, g, ri), and only if
+    the total does not grow.  A candidate is scored once, from a per-pass
+    occurrence index g -> relators containing g: relators without g keep
+    their length, and summing the substituted lengths stops as soon as the
+    candidate cannot win, so the choice is exact.  Stops at a fixpoint or
+    after ``budget`` steps (the latter emits TietzeBudgetWarning)."""
     if budget <= 0:
         warnings.warn("simplification budget is empty", TietzeBudgetWarning)
         return P
-    names = list(P.generator_names)
-    relators = [r for r in P.relators]
+    # generators keep their input numbers until the end: renumbering is
+    # monotone, so it never changes which (new_total, g, ri) is least
+    relators = [r.letters for r in P.relators]
+    eliminated = set()
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
     steps = 0
 
     def spend() -> bool:
@@ -397,9 +442,12 @@ def tietze_simplify(P: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
         # cyclically reduce (a relator and its cyclic core have the same
         # normal closure) and drop empty relators
         for i, r in enumerate(relators):
-            core = _cyclic_core(r)
-            if core != r.letters:
-                relators[i] = Word(core)
+            a, b = 0, len(r)
+            while b - a >= 2 and r[a] == -r[b - 1]:
+                a += 1
+                b -= 1
+            if a:
+                relators[i] = r[a:b]
                 changed = True
                 if spend():
                     exhausted = True
@@ -409,59 +457,42 @@ def tietze_simplify(P: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
         kept = []
         seen_keys = set()
         for r in relators:
-            if not r:
-                changed = True
-                if spend():
-                    exhausted = True
-                continue
-            key = _cyclic_key(r)
-            if key in seen_keys:
-                changed = True
-                if spend():
-                    exhausted = True
-                continue
-            seen_keys.add(key)
-            kept.append(r)
+            if r:
+                key = keys.get(r)
+                if key is None:
+                    key = keys[r] = _relator_key(r)
+                if key not in seen_keys:
+                    seen_keys.add(key)
+                    kept.append(r)
+                    continue
+            changed = True
+            if spend():
+                exhausted = True
         relators = kept
         if exhausted:
             break
         if changed:
             continue
 
-        # generator elimination: find the cheapest relator rotation of the
-        # form g * w with g absent from w, substitute w^-1 for g
-        total = sum(len(r) for r in relators)
-        best = None  # (new_total, gen, relator_index, replacement)
-        for ri, r in enumerate(relators):
-            ls = r.letters
-            n = len(ls)
-            for base in (ls, tuple(-ell for ell in reversed(ls))):
-                for k in range(n):
-                    rot = base[k:] + base[:k]
-                    head, tail = rot[0], rot[1:]
-                    g = abs(head)
-                    if any(abs(ell) == g for ell in tail):
-                        continue
-                    # head * tail = 1, so head = tail^-1
-                    value = Word(tuple(-ell for ell in reversed(tail)))
-                    if head < 0:
-                        value = value.inverse()
-                    new_total = 0
-                    for rj, other in enumerate(relators):
-                        if rj == ri:
-                            continue
-                        new_total += len(_substitute(other, g, value))
-                    if new_total <= total and (best is None or (new_total, g, ri) < best[:3]):
-                        best = (new_total, g, ri, value)
+        best = _cheapest_elimination(relators)
         if best is not None:
             _, g, ri, value = best
-            relators = [_substitute(r, g, value) for i, r in enumerate(relators) if i != ri]
-            relators = [_drop_generator(r, g) for r in relators]
-            del names[g - 1]
+            vinv = tuple(-ell for ell in reversed(value))
+            relators = [
+                _substituted(r, g, value, vinv) if g in r or -g in r else r
+                for i, r in enumerate(relators)
+                if i != ri
+            ]
+            eliminated.add(g)
             changed = True
             if spend():
                 exhausted = True
 
     if exhausted:
         warnings.warn(f"simplification stopped after {budget} steps", TietzeBudgetWarning)
-    return Presentation(tuple(names), tuple(relators))
+    survivors = [g for g in range(1, P.n_generators + 1) if g not in eliminated]
+    number = {g: i for i, g in enumerate(survivors, start=1)}
+    return Presentation(
+        tuple(P.generator_names[g - 1] for g in survivors),
+        tuple(Word(tuple(number[ell] if ell > 0 else -number[-ell] for ell in r)) for r in relators),
+    )

@@ -6,10 +6,12 @@ expansion, exhaustive root search) and shares no code with the package.
 
 from __future__ import annotations
 
+import warnings
 from itertools import combinations
 
-from pdef import Word, reduce, word_power
+from pdef import Presentation, Word, quotient_by_words, reduce, word_power
 from pdef.cosets import canonicalize_rows
+from pdef.presentations import DEFAULT_TIETZE_BUDGET, TietzeBudgetWarning
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +267,159 @@ def brute_force_tables(n_generators, relators, max_index):
                 if rows is not None:
                     tables.add(rows)
     return tables
+
+
+# ---------------------------------------------------------------------------
+# Tietze simplification: the plain greedy loop on Word objects, scoring
+# every rotation of every relator and its inverse by substituting into all
+# other relators
+
+
+def _cyclic_key(w: Word):
+    """Canonical representative of a relator up to rotation and inversion."""
+    core = _cyclic_core(w)
+    if not core:
+        return ()
+    candidates = []
+    for ls in (core, tuple(-ell for ell in reversed(core))):
+        for k in range(len(ls)):
+            candidates.append(ls[k:] + ls[:k])
+    return min(candidates)
+
+
+def _cyclic_core(w: Word) -> tuple[int, ...]:
+    ls = w.letters
+    i, j = 0, len(ls)
+    while j - i >= 2 and ls[i] == -ls[j - 1]:
+        i += 1
+        j -= 1
+    return ls[i:j]
+
+
+def _substitute(w: Word, gen: int, value: Word) -> Word:
+    """Replace generator ``gen`` by ``value`` throughout, then reduce."""
+    out: list[int] = []
+    vinv = value.inverse().letters
+    for ell in w.letters:
+        if ell == gen:
+            out.extend(value.letters)
+        elif ell == -gen:
+            out.extend(vinv)
+        else:
+            out.append(ell)
+    return reduce(out)
+
+
+def _drop_generator(w: Word, gen: int) -> Word:
+    """Renumber letters after deleting generator ``gen`` from the alphabet."""
+    return Word(tuple(ell - 1 if ell > gen else ell + 1 if ell < -gen else ell for ell in w.letters))
+
+
+def reference_tietze(P: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Presentation:
+    """Greedy presentation simplification: cyclically reduce relators, drop
+    empty and rotation/inversion duplicates, and eliminate a generator when
+    some relator expresses it as a word in the others.  Each accepted step
+    keeps the total relator length from growing; the result presents an
+    isomorphic group.  Stops at a fixpoint or after ``budget`` steps (the
+    latter emits TietzeBudgetWarning)."""
+    if budget <= 0:
+        warnings.warn("simplification budget is empty", TietzeBudgetWarning)
+        return P
+    names = list(P.generator_names)
+    relators = [r for r in P.relators]
+    steps = 0
+
+    def spend() -> bool:
+        nonlocal steps
+        steps += 1
+        return steps >= budget
+
+    exhausted = False
+    changed = True
+    while changed and not exhausted:
+        changed = False
+
+        # cyclically reduce (a relator and its cyclic core have the same
+        # normal closure) and drop empty relators
+        for i, r in enumerate(relators):
+            core = _cyclic_core(r)
+            if core != r.letters:
+                relators[i] = Word(core)
+                changed = True
+                if spend():
+                    exhausted = True
+                    break
+        if exhausted:
+            break
+        kept = []
+        seen_keys = set()
+        for r in relators:
+            if not r:
+                changed = True
+                if spend():
+                    exhausted = True
+                continue
+            key = _cyclic_key(r)
+            if key in seen_keys:
+                changed = True
+                if spend():
+                    exhausted = True
+                continue
+            seen_keys.add(key)
+            kept.append(r)
+        relators = kept
+        if exhausted:
+            break
+        if changed:
+            continue
+
+        # generator elimination: find the cheapest relator rotation of the
+        # form g * w with g absent from w, substitute w^-1 for g
+        total = sum(len(r) for r in relators)
+        best = None  # (new_total, gen, relator_index, replacement)
+        for ri, r in enumerate(relators):
+            ls = r.letters
+            n = len(ls)
+            for base in (ls, tuple(-ell for ell in reversed(ls))):
+                for k in range(n):
+                    rot = base[k:] + base[:k]
+                    head, tail = rot[0], rot[1:]
+                    g = abs(head)
+                    if any(abs(ell) == g for ell in tail):
+                        continue
+                    # head * tail = 1, so head = tail^-1
+                    value = Word(tuple(-ell for ell in reversed(tail)))
+                    if head < 0:
+                        value = value.inverse()
+                    new_total = 0
+                    for rj, other in enumerate(relators):
+                        if rj == ri:
+                            continue
+                        new_total += len(_substitute(other, g, value))
+                    if new_total <= total and (best is None or (new_total, g, ri) < best[:3]):
+                        best = (new_total, g, ri, value)
+        if best is not None:
+            _, g, ri, value = best
+            relators = [_substitute(r, g, value) for i, r in enumerate(relators) if i != ri]
+            relators = [_drop_generator(r, g) for r in relators]
+            del names[g - 1]
+            changed = True
+            if spend():
+                exhausted = True
+
+    if exhausted:
+        warnings.warn(f"simplification stopped after {budget} steps", TietzeBudgetWarning)
+    return Presentation(tuple(names), tuple(relators))
+
+
+def reference_free_quotient(H: Presentation, kill_budget: int, budget: int = DEFAULT_TIETZE_BUDGET):
+    """(kill set names, free rank) of the first subset, smallest first in
+    generator order, whose quotient simplifies to a relator-free
+    presentation on >= 2 generators; None when no subset in budget does."""
+    n = H.n_generators
+    for size in range(0, min(kill_budget, n - 2) + 1):
+        for subset in combinations(range(1, n + 1), size):
+            Q = reference_tietze(quotient_by_words(H, [Word((g,)) for g in subset]), budget)
+            if not Q.relators and Q.n_generators >= 2:
+                return [H.generator_names[g - 1] for g in subset], Q.n_generators
+    return None

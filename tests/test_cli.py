@@ -151,6 +151,36 @@ def test_huge_integers_are_bounded(capsys, p_file):
     assert time.perf_counter() - start < 5
 
 
+def test_two_large_prime_factors_are_bounded(capsys):
+    # q = (10^9 + 7)(10^9 + 9): trial division alone would take ~10^9 steps
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "power-quotient", "2", "5", "1000000016000000063")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "  p: 1000000007" in out and "verified: true" in out
+    # no prime below the cofactor fires, and the cofactor is past psi_13
+    code, _, err = run(capsys, "certify", "power-quotient", "2", str(10**40), str(10**30 + 1))
+    assert code == 2 and "too large" in err
+
+
+def test_hostile_words_are_reported_errors(capsys, tmp_path, monkeypatch):
+    f = tmp_path / "nested.grp"
+    f.write_text("gens: x\nrel: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
+    code, out, err = run(capsys, "simplify", str(f))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+    f.write_text("gens: x\nrel: x^300000000\n")
+    code, out, err = run(capsys, "simplify", str(f))
+    assert code == 2 and out == "" and "longer than" in err
+
+    def exhausted(P, budget):
+        raise MemoryError
+
+    monkeypatch.setattr("pdef.cli.tietze_simplify", exhausted)
+    f.write_text("gens: x\nrel: x^2\n")
+    code, out, err = run(capsys, "simplify", str(f))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_exhaustion_exit_code(capsys, tmp_path):
     f = tmp_path / "free.grp"
     f.write_text("gens: x, y\n")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from pdef import (
     tietze_simplify,
 )
 from pdef.presentations import (
+    MAX_WORD_LENGTH,
     PresentationWarning,
     TietzeBudgetWarning,
     print_word,
@@ -173,6 +175,20 @@ def test_quotient_by_words(rank4_pres, triangle_power_pres):
 
     with pytest.raises(ValueError):
         quotient_by_words(X, [Word((2,))])
+
+
+def test_word_length_cap_checked_before_expanding():
+    tracemalloc.start()
+    try:
+        for text in ("x^300000000", "(x^1000)^-1001", "x^600000*x^600000", "[x^300000, x^300000]"):
+            with pytest.raises(ParseError, match="longer than"):
+                parse_presentation("gens: x\nrel: " + text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20  # the longest word built stays under the cap
+    P = parse_presentation("gens: x\nrel: (x^1000)^1000")
+    assert len(P.relators[0]) == MAX_WORD_LENGTH
 
 
 def test_tietze_examples(rank4_pres):
