@@ -35,7 +35,7 @@ from .presentations import (
     tietze_simplify,
 )
 from .rewriting import subgroup_presentation
-from .words import Word, is_prime, primitive_root
+from .words import _MR_LIMIT, Word, is_prime, primitive_root
 
 P_LARGE_BY_DEFICIENCY = "PLargeByDeficiency"
 ALLCOCK_BOUND = "AllcockBound"
@@ -462,53 +462,48 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
 _TRIAL_LIMIT = 1000
 
 
-def _pollard_brent(n: int) -> int:
-    """A proper factor of the composite n: Brent's variant of Pollard's rho,
-    deterministic (start 2, increments c = 1, 2, ... until one splits n)."""
+def _pollard_rho(n: int) -> int:
+    """A proper factor of the composite n: Pollard's rho with Floyd cycle
+    finding, deterministic (start 2, increments c = 1, 2, ... until one
+    splits n)."""
     c = 0
     while True:
         c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            done = 0
-            while done < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - done)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                done += 128
-            r *= 2
-        if g == n:  # the batch overshot: step back through it one by one
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
 
 
 def _split(n: int) -> list[int]:
-    """Prime factors of n > 1, with multiplicity, unsorted."""
+    """Prime factors of 1 < n < psi_13, with multiplicity, unsorted."""
     if is_prime(n):
         return [n]
-    d = _pollard_brent(n)
+    d = _pollard_rho(n)
     return _split(d) + _split(n // d)
 
 
 def _prime_powers(q: int):
     """(p, l_p) for each prime p | q in ascending order, p^(l_p) exactly
-    dividing q: trial division up to _TRIAL_LIMIT (or the square root of
-    what is left), then Pollard-Brent rho on a composite cofactor, whose
-    prime factors all exceed the trial bound.  is_prime raises ValueError
-    on a cofactor from psi_13 on."""
+    dividing q.  Trial division runs up to _TRIAL_LIMIT, and on while what
+    is left is at least psi_13 (where is_prime is not exact); it stops at
+    the square root of what is left, which is then prime.  A cofactor below
+    psi_13 past the trial bound is split by Pollard's rho: its prime
+    factors all exceed the divisors tried."""
     rest, p = q, 2
-    while rest > 1 and p <= _TRIAL_LIMIT:
+    while rest > 1:
         if p * p > rest:
             p = rest  # no factor up to its square root: what is left is prime
+        elif p > _TRIAL_LIMIT and rest < _MR_LIMIT:
+            factors = _split(rest)
+            for f in sorted(set(factors)):
+                yield f, factors.count(f)
+            return
         if rest % p == 0:
             lp = 0
             while rest % p == 0:
@@ -516,10 +511,6 @@ def _prime_powers(q: int):
                 lp += 1
             yield p, lp
         p += 1
-    if rest > 1:
-        factors = _split(rest)
-        for p in sorted(set(factors)):
-            yield p, factors.count(p)
 
 
 def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:

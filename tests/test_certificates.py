@@ -227,25 +227,38 @@ def test_huge_primes_are_bounded():
 
 def test_power_quotient_fires_at_smallest_qualifying_prime():
     # q built from known prime powers, including primes past the trial
-    # bound and composite cofactors that only Pollard-Brent rho splits
+    # bound, composite cofactors that only Pollard's rho splits, and
+    # cofactors past psi_13, which trial division shrinks first
     rng = random.Random(61)
-    primes = [2, 3, 5, 7, 997, 1009, 1013, 65537, 1000003, 1000000007, 1000000009]
+    primes = [2, 3, 5, 7, 997, 1009, 1013, 65537, 1000000007, 1000000009]
     for _ in range(200):
         chosen = sorted(rng.sample(primes, rng.randint(1, 3)))
-        powers = {p: rng.randint(1, 3) for p in chosen}
+        powers = {p: rng.randint(1, 3 if p < 10**6 else 1) for p in chosen}
         q = math.prod(p**e for p, e in powers.items())
         r, k = rng.randint(2, 4), rng.choice([0, 5, 100, 10**7, 10**12])
         expected = next((p for p in chosen if Fraction(p ** powers[p]) > Fraction(k, r - 1)), None)
-        cofactor = math.prod(p**e for p, e in powers.items() if p > 1000)
-        if (expected is None or expected > 1000) and cofactor >= 3317044064679887385961981:
-            with pytest.raises(ValueError, match="too large"):
-                power_quotient_largeness(r, k, q)  # past psi_13: no exact primality test
-            continue
         cert = power_quotient_largeness(r, k, q)
         if expected is None:
             assert cert.kind == INCONCLUSIVE
         else:
             assert cert.kind == POWER_QUOTIENT_LARGE and cert.parameters["p"] == expected
+    m89 = 2**89 - 1  # a prime past psi_13
+    big = 4000000000000000000013  # a prime below psi_13
+    cases = (
+        (2, 5, 1009**9, 1009),
+        (2, 5, 1013 * m89, 1013),
+        (2, 5, 1013 * big, 1013),
+        (2, 10**7, 1009**2 * 1013 * 1000000007 * 1000000009, 1000000007),
+        (2, 10**40, 10**30 + 1, None),
+    )
+    start = time.perf_counter()
+    for r, k, q, expected in cases:
+        cert = power_quotient_largeness(r, k, q)
+        if expected is None:
+            assert cert.kind == INCONCLUSIVE
+        else:
+            assert cert.kind == POWER_QUOTIENT_LARGE and cert.parameters["p"] == expected
+    assert time.perf_counter() - start < 2
 
 
 def test_power_quotient_agrees_with_deficiency():
