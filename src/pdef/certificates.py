@@ -35,7 +35,7 @@ from .presentations import (
     tietze_simplify,
 )
 from .rewriting import subgroup_presentation
-from .words import _MR_LIMIT, Word, is_prime, primitive_root
+from .words import _MR_LIMIT, Word, _valuation, is_prime, primitive_root
 
 P_LARGE_BY_DEFICIENCY = "PLargeByDeficiency"
 ALLCOCK_BOUND = "AllcockBound"
@@ -235,10 +235,16 @@ def _measured_rank(P: Presentation, rec: SubgroupRecord, c: Certificate) -> int 
     return None
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+def _inconclusive(presentation: str | None, parameters: dict, witness: dict | None = None) -> Certificate:
+    """A certificate that claims nothing, so it holds as issued."""
+    return Certificate(
+        kind=INCONCLUSIVE,
+        presentation=presentation,
+        parameters=parameters,
+        witness=witness or {},
+        conclusions=[],
+        verified=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +271,7 @@ def certify_p_large_by_deficiency(P: Presentation, p: int) -> Certificate:
             ],
         )
         return _issue(cert)
-    return Certificate(
-        kind=INCONCLUSIVE,
-        presentation=text,
-        parameters={"p": p, "reason": "this presentation has p-deficiency <= 1"},
-        witness=witness,
-        conclusions=[],
-        verified=True,
-    )
+    return _inconclusive(text, {"p": p, "reason": "this presentation has p-deficiency <= 1"}, witness)
 
 
 def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
@@ -292,17 +291,14 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
     params = {"tietze_budget": budget, "bound_formula": RANK_BOUND_FORMULA}
     bound, failing = _allcock_bound(P, T)
     if bound is None:
-        return Certificate(
-            kind=INCONCLUSIVE,
-            presentation=text,
-            parameters={
+        return _inconclusive(
+            text,
+            {
                 **params,
                 "reason": "hypothesis fails: a proper power of a relator root lies in the subgroup",
                 "failing_relator": failing,
             },
-            witness={"index": N, "table": _table_payload(T)},
-            conclusions=[],
-            verified=True,
+            {"index": N, "table": _table_payload(T)},
         )
     inv = abelian_invariants(subgroup_presentation(P, rec, budget))
     if inv.free_rank < math.ceil(bound):
@@ -346,18 +342,14 @@ def find_z_surjection(P: Presentation, max_index: int,
                 conclusions=[Conclusion("no property (T)", "Cor 2.2")],
             )
             return _issue(cert)
-    return Certificate(
-        kind=INCONCLUSIVE,
-        presentation=text,
-        parameters={
+    return _inconclusive(
+        text,
+        {
             "max_index": max_index,
             "tietze_budget": budget,
             "reason": "no normal subgroup in range surjects onto Z",
             "examined_indices": examined,
         },
-        witness={},
-        conclusions=[],
-        verified=True,
     )
 
 
@@ -403,14 +395,7 @@ def certify_free_quotient(H: Presentation, kill_budget: int,
                     ],
                 )
                 return _issue(cert)
-    return Certificate(
-        kind=INCONCLUSIVE,
-        presentation=text,
-        parameters={**params, "reason": "no kill set in budget frees the presentation"},
-        witness={},
-        conclusions=[],
-        verified=True,
-    )
+    return _inconclusive(text, {**params, "reason": "no kill set in budget frees the presentation"})
 
 
 def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int,
@@ -427,7 +412,7 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
         "tietze_budget": budget,
     }
     for rec in low_index_normal(P, max_index):
-        if not _is_p_power(rec.index, p):
+        if _valuation(rec.index, p)[1] != 1:
             continue
         Hpres = subgroup_presentation(P, rec, budget)
         sub = certify_free_quotient(Hpres, kill_budget, budget)
@@ -449,13 +434,8 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
                 ],
             )
             return _issue(cert)
-    return Certificate(
-        kind=INCONCLUSIVE,
-        presentation=text,
-        parameters={**params, "reason": "no p-power-index normal subgroup in range yielded a free quotient"},
-        witness={},
-        conclusions=[],
-        verified=True,
+    return _inconclusive(
+        text, {**params, "reason": "no p-power-index normal subgroup in range yielded a free quotient"}
     )
 
 
@@ -505,10 +485,7 @@ def _prime_powers(q: int):
                 yield f, factors.count(f)
             return
         if rest % p == 0:
-            lp = 0
-            while rest % p == 0:
-                rest //= p
-                lp += 1
+            lp, rest = _valuation(rest, p)
             yield p, lp
         p += 1
 
@@ -539,14 +516,7 @@ def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:
                 ],
             )
             return _issue(cert)
-    return Certificate(
-        kind=INCONCLUSIVE,
-        presentation=None,
-        parameters={**params, "reason": "no prime power in q beats k/(r-1)"},
-        witness={},
-        conclusions=[],
-        verified=True,
-    )
+    return _inconclusive(None, {**params, "reason": "no prime power in q beats k/(r-1)"})
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +554,7 @@ def verify(c: Certificate) -> bool:
             p = c.parameters["p"]
             if r < 2 or k < 0 or q < 1 or not is_prime(p) or q % p != 0:
                 return False
-            lp = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                lp += 1
+            lp, _ = _valuation(q, p)
             if not Fraction(p**lp) > Fraction(k, r - 1):
                 return False
             return str(r - Fraction(k, p**lp)) == c.witness["bound"]
@@ -616,7 +582,7 @@ def verify(c: Certificate) -> bool:
             P = parse_presentation(c.presentation)
             p = c.parameters["p"]
             rec = _normal_record(P, c.witness)
-            if rec is None or not _is_p_power(rec.index, p):
+            if rec is None or not is_prime(p) or _valuation(rec.index, p)[1] != 1:
                 return False
             H = subgroup_presentation(P, rec, c.parameters["tietze_budget"])
             return _check_free_quotient(H, c)

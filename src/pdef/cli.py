@@ -28,7 +28,6 @@ from .presentations import (
     tietze_simplify,
 )
 from .rewriting import reidemeister_schreier
-from .words import is_prime
 
 
 class CliError(Exception):
@@ -156,40 +155,20 @@ def _cmd_dump_table(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.what == "power-quotient":
-        cert = certs.power_quotient_largeness(args.rank, args.count, args.exponent)
-        return _emit_certificate(cert, args.json)
+    # args.issue is the target's certifying call, set as a parser default
+    return _emit_certificate(args.issue(_read_presentation(args.presentation), args), args.json)
+
+
+def _cmd_certify_allcock(args) -> int:
     P = _read_presentation(args.presentation)
-    if args.what == "p-large-def":
-        _require_p(args)
-        cert = certs.certify_p_large_by_deficiency(P, args.p)
-    elif args.what == "p-large":
-        _require_p(args)
-        cert = certs.certify_p_large_witness(
-            P, args.p, args.max_index, args.kill_budget, args.tietze_budget
-        )
-    elif args.what == "z-surjection":
-        cert = certs.find_z_surjection(P, args.max_index, args.tietze_budget)
-    elif args.what == "free-quotient":
-        cert = certs.certify_free_quotient(P, args.kill_budget, args.tietze_budget)
-    elif args.what == "allcock":
-        result = _enumerate(P, args)
-        if isinstance(result, Exhausted):
-            return _print_exhausted(result.max_cosets, args.json)
-        rec = subgroup_record(result)
-        if not rec.normal:
-            raise CliError("the given subgroup is not normal")
-        cert = certs.allcock_rank_bound(P, rec, args.tietze_budget)
-    else:  # pragma: no cover
-        raise CliError(f"unknown certify target {args.what!r}")
-    return _emit_certificate(cert, args.json)
+    result = _enumerate(P, args)
+    if isinstance(result, Exhausted):
+        return _print_exhausted(result.max_cosets, args.json)
+    return _emit_certificate(certs.allcock_rank_bound(P, subgroup_record(result), args.tietze_budget), args.json)
 
 
-def _require_p(args) -> None:
-    if args.p is None:
-        raise CliError("-p PRIME is required")
-    if not is_prime(args.p):
-        raise CliError(f"p must be prime, got {args.p}")
+def _cmd_certify_power_quotient(args) -> int:
+    return _emit_certificate(certs.power_quotient_largeness(args.rank, args.count, args.exponent), args.json)
 
 
 def _cmd_verify(args) -> int:
@@ -203,62 +182,61 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# every option a subcommand can take, declared once: flag -> add_argument keywords
+_OPTIONS = {
+    "-p": {"type": int, "required": True, "help": "prime for p-deficiency"},
+    "--normal": {"action": "store_true"},
+    "--max-index": {"type": int, "default": 3},
+    "--max-cosets": {"type": int, "default": DEFAULT_MAX_COSETS},
+    "--kill-budget": {"type": int, "default": 3},
+    "--tietze-budget": {"type": int, "default": DEFAULT_TIETZE_BUDGET},
+    "--json": {"action": "store_true"},
+    "--subgroup-gens": {"help": "semicolon-separated words"},
+}
+_COSET_OPTIONS = ("--subgroup-gens", "--max-cosets", "--json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pdef", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, presentation=True):
-        sp.add_argument("-p", type=int, default=None, help="prime for p-deficiency")
-        sp.add_argument("--max-index", type=int, default=3)
-        sp.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-        sp.add_argument("--kill-budget", type=int, default=3)
-        sp.add_argument("--tietze-budget", type=int, default=DEFAULT_TIETZE_BUDGET)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--subgroup-gens", default=None, help="semicolon-separated words")
-        if presentation:
-            sp.add_argument("presentation", help="presentation file, or - for stdin")
+    def add(subparsers, name, fn, *flags, **kw):
+        """A subcommand taking exactly the options flags, then a presentation."""
+        sp = subparsers.add_parser(name, **kw)
+        for flag in flags:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.add_argument("presentation", help="presentation file, or - for stdin")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("def", help="p-deficiency report")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_def, needs_p=True)
+    add(sub, "def", _cmd_def, "-p", help="p-deficiency report")
+    add(sub, "deficiency", _cmd_deficiency, help="generators minus relators")
+    add(sub, "lowindex", _cmd_lowindex, "--normal", "--max-index", "--json", help="subgroups of index <= N")
+    add(sub, "rewrite", _cmd_rewrite, *_COSET_OPTIONS, help="subgroup presentation via rewriting")
+    add(sub, "abelianize", _cmd_abelianize, help="abelian invariants")
+    add(sub, "simplify", _cmd_simplify, "--tietze-budget", help="Tietze-simplify a presentation")
+    add(sub, "dump-table", _cmd_dump_table, *_COSET_OPTIONS, help="coset table for a subgroup")
 
-    sp = sub.add_parser("deficiency", help="generators minus relators")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_deficiency)
-
-    sp = sub.add_parser("lowindex", help="subgroups of index <= N")
-    add_common(sp)
-    sp.add_argument("--normal", action="store_true")
-    sp.set_defaults(fn=_cmd_lowindex)
-
-    sp = sub.add_parser("rewrite", help="subgroup presentation via rewriting")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_rewrite)
-
-    sp = sub.add_parser("abelianize", help="abelian invariants")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_abelianize)
-
-    sp = sub.add_parser("simplify", help="Tietze-simplify a presentation")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_simplify)
-
-    sp = sub.add_parser("dump-table", help="coset table for a subgroup")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_dump_table)
-
-    sp = sub.add_parser("certify", help="issue a certificate")
-    what = sp.add_subparsers(dest="what", required=True)
-    for name in ("p-large-def", "p-large", "z-surjection", "free-quotient", "allcock"):
-        wp = what.add_parser(name)
-        add_common(wp)
-        wp.set_defaults(fn=_cmd_certify)
+    what = sub.add_parser("certify", help="issue a certificate").add_subparsers(dest="what", required=True)
+    add(what, "p-large-def", _cmd_certify, "-p", "--json").set_defaults(
+        issue=lambda P, a: certs.certify_p_large_by_deficiency(P, a.p)
+    )
+    add(what, "p-large", _cmd_certify, "-p", "--max-index", "--kill-budget", "--tietze-budget", "--json").set_defaults(
+        issue=lambda P, a: certs.certify_p_large_witness(P, a.p, a.max_index, a.kill_budget, a.tietze_budget)
+    )
+    add(what, "z-surjection", _cmd_certify, "--max-index", "--tietze-budget", "--json").set_defaults(
+        issue=lambda P, a: certs.find_z_surjection(P, a.max_index, a.tietze_budget)
+    )
+    add(what, "free-quotient", _cmd_certify, "--kill-budget", "--tietze-budget", "--json").set_defaults(
+        issue=lambda P, a: certs.certify_free_quotient(P, a.kill_budget, a.tietze_budget)
+    )
+    add(what, "allcock", _cmd_certify_allcock, "--subgroup-gens", "--max-cosets", "--tietze-budget", "--json")
     wp = what.add_parser("power-quotient")
     wp.add_argument("rank", type=int)
     wp.add_argument("count", type=int)
     wp.add_argument("exponent", type=int)
-    wp.add_argument("--json", action="store_true")
-    wp.set_defaults(fn=_cmd_certify)
+    wp.add_argument("--json", **_OPTIONS["--json"])
+    wp.set_defaults(fn=_cmd_certify_power_quotient)
 
     sp = sub.add_parser("verify", help="re-check a JSON certificate")
     sp.add_argument("certificate")
@@ -274,8 +252,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if getattr(args, "needs_p", False):
-            _require_p(args)
         return args.fn(args)
     except (CliError, ParseError, ValueError, certs.MalformedCertificate) as e:
         print(f"error: {e}", file=sys.stderr)

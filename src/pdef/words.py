@@ -186,9 +186,13 @@ def nu_p(w: Word, p: int):
         raise ValueError(f"p must be prime, got {p}")
     if not w:
         return math.inf
-    m = primitive_root(w).exponent
+    return _valuation(primitive_root(w).exponent, p)[0]
+
+
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(k, n // p**k) for the largest k with p**k dividing n >= 1."""
     k = 0
-    while m % p == 0:
-        m //= p
+    while n % p == 0:
+        n //= p
         k += 1
-    return k
+    return k, n

@@ -352,6 +352,15 @@ def test_tampered_certificates_fail(dinf, rank4_pres):
     assert not verify(from_json(json.dumps(d)))
 
 
+def test_p_large_witness_needs_a_prime_p(triangle_power_pres):
+    d = json.loads(to_json(certify_p_large_witness(triangle_power_pres, 3, 3, 3)))
+    for p in (1, -1, 0, 4, 9):
+        d["parameters"]["p"] = p
+        start = time.perf_counter()
+        assert not verify(from_json(json.dumps(d)))
+        assert time.perf_counter() - start < 1
+
+
 def test_intransitive_table_fails_verify(dinf):
     # two fixed points satisfy every relator, but coset 2 is unreachable
     # from coset 1, so this is no coset table

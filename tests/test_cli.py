@@ -1,14 +1,17 @@
+import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from pdef.certificates import validate_certificate_dict
-from pdef.cli import main
-from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT
+from pdef.cli import build_parser, main
+from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT, S3_TEXT
 
 
 @pytest.fixture
@@ -241,3 +244,80 @@ def test_stdin_presentation(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(DINF_TEXT))
     code, out, _ = run(capsys, "def", "-p", "2", "-")
     assert code == 0 and out.splitlines()[0] == "def_2 = 1"
+
+
+# the complete option set of each subcommand, with defaults
+SUBCOMMAND_OPTIONS = {
+    "def": {"-p": None},
+    "deficiency": {},
+    "abelianize": {},
+    "lowindex": {"--normal": False, "--max-index": 3, "--json": False},
+    "rewrite": {"--subgroup-gens": None, "--max-cosets": 100000, "--json": False},
+    "dump-table": {"--subgroup-gens": None, "--max-cosets": 100000, "--json": False},
+    "simplify": {"--tietze-budget": 5000},
+    "certify p-large-def": {"-p": None, "--json": False},
+    "certify p-large": {"-p": None, "--max-index": 3, "--kill-budget": 3, "--tietze-budget": 5000, "--json": False},
+    "certify z-surjection": {"--max-index": 3, "--tietze-budget": 5000, "--json": False},
+    "certify free-quotient": {"--kill-budget": 3, "--tietze-budget": 5000, "--json": False},
+    "certify allcock": {"--subgroup-gens": None, "--max-cosets": 100000, "--tietze-budget": 5000, "--json": False},
+    "certify power-quotient": {"--json": False},
+    "verify": {},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    found = {}
+
+    def walk(parser, path):
+        subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subcommands:
+            found[" ".join(path)] = {
+                a.option_strings[0]: a.default
+                for a in parser._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+            }
+        for action in subcommands:
+            for name, sub in action.choices.items():
+                walk(sub, path + (name,))
+
+    walk(build_parser(), ())
+    assert found == SUBCOMMAND_OPTIONS
+    assert sum(len(options) for options in found.values()) == 29
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("abelianize", "--kill-budget", "3"),
+        ("deficiency", "-p", "3"),
+        ("simplify", "--max-index", "2"),
+        ("dump-table", "--tietze-budget", "5"),
+        ("certify", "z-surjection", "--kill-budget", "2"),
+        ("certify", "free-quotient", "--subgroup-gens", "a"),
+        ("certify", "allcock", "--subgroup-gens", "b"),  # index 3 in S3, not normal
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, tmp_path, argv):
+    f = tmp_path / "S3.grp"
+    f.write_text(S3_TEXT)
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == 2 and out == ""
+    if argv[1] == "allcock":
+        assert err == "error: the rank bound needs a normal subgroup record\n"
+
+
+def test_cli_parses_every_benchmark_argv(monkeypatch):
+    # the benchmark's job generator, imported read-only
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import families
+
+    parser = build_parser()
+    argvs = [["verify", "x.json"]]
+    for workload in families.WORKLOADS:
+        argvs += [job.argv for job in itertools.islice(families.job_stream(workload, 0), 100)]
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI rejects {argv}")
