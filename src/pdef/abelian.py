@@ -6,6 +6,7 @@ nonzero entry keeps intermediate growth tame at this scale.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .presentations import Presentation
@@ -50,12 +51,19 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
 
+def _exponent_rows(P: Presentation) -> list[dict[int, int]]:
+    """Each relator's nonzero exponent sums, as {0-based generator: sum}."""
+    rows = [{} for _ in P.relators]
+    for row, r in zip(rows, P.relators):
+        for ell in r.letters:
+            row[abs(ell) - 1] = row.get(abs(ell) - 1, 0) + (1 if ell > 0 else -1)
+    return [{c: e for c, e in row.items() if e} for row in rows]
+
+
 def relator_matrix(P: Presentation) -> IntegerMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    n = P.n_generators
-    return IntegerMatrix.from_rows(
-        [[r.exponent_sum(g) for g in range(1, n + 1)] for r in P.relators]
-    )
+    cols = range(P.n_generators)
+    return IntegerMatrix(tuple(tuple(row.get(c, 0) for c in cols) for row in _exponent_rows(P)))
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -174,8 +182,32 @@ def cokernel_invariants(M: IntegerMatrix, n_columns: int) -> AbelianInvariants:
 
 
 def abelian_invariants(P: Presentation) -> AbelianInvariants:
-    """Invariants of the cokernel of the relator exponent-sum matrix."""
-    return cokernel_invariants(relator_matrix(P), P.n_generators)
+    """Invariants of the cokernel of the relator exponent-sum matrix.  Each
+    entry +-1 solves for its generator, so its row and column leave the
+    sparse rows first (Havas, Holt & Rees, 1993); SNF gets the rest."""
+    rows = _exponent_rows(P)
+    where = defaultdict(set)  # generator -> the rows that use it, or once did
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
+    units, progress = 0, True
+    while progress:  # a pivot can leave a unit in a row that had none
+        progress = False
+        for i, row in enumerate(rows):
+            c = next((c for c, e in row.items() if e in (1, -1)), None)
+            if c is None:
+                continue
+            rows[i], units, progress = {}, units + 1, True  # row i and column c leave
+            for k in where.pop(c):
+                if c in rows[k]:  # row k -= (its c-entry / row[c]) * row
+                    other, m = rows[k], rows[k][c] * row[c]
+                    for col, e in row.items():
+                        other[col] = other.get(col, 0) - m * e
+                        where[col].add(k)
+                    rows[k] = {col: e for col, e in other.items() if e}
+    cols = sorted(set().union(*rows))
+    M = IntegerMatrix(tuple(tuple(row.get(c, 0) for c in cols) for row in rows if row))
+    return cokernel_invariants(M, P.n_generators - units)
 
 
 def surjects_onto_Z(P: Presentation) -> bool:

@@ -34,7 +34,7 @@ from .presentations import (
     quotient_by_words,
     tietze_simplify,
 )
-from .rewriting import subgroup_presentation
+from .rewriting import reidemeister_schreier, subgroup_presentation
 from .words import _MR_LIMIT, Word, _valuation, is_prime, primitive_root
 
 P_LARGE_BY_DEFICIENCY = "PLargeByDeficiency"
@@ -228,7 +228,7 @@ def _allcock_bound(P: Presentation, T: CosetTable) -> tuple[Fraction | None, int
 def _measured_rank(P: Presentation, rec: SubgroupRecord, c: Certificate) -> int | None:
     """Free rank of the rewritten subgroup's abelianization, or None unless
     its invariants equal the certificate's stored {rank, torsion}."""
-    inv = abelian_invariants(subgroup_presentation(P, rec, c.parameters["tietze_budget"]))
+    inv = abelian_invariants(reidemeister_schreier(P, rec.table))
     stored = c.witness["abelian_invariants"]
     if inv.free_rank == stored["rank"] and list(inv.torsion) == stored["torsion"]:
         return inv.free_rank
@@ -274,8 +274,7 @@ def certify_p_large_by_deficiency(P: Presentation, p: int) -> Certificate:
     return _inconclusive(text, {"p": p, "reason": "this presentation has p-deficiency <= 1"}, witness)
 
 
-def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
-                       budget: int = DEFAULT_TIETZE_BUDGET) -> Certificate:
+def allcock_rank_bound(P: Presentation, rec: SubgroupRecord) -> Certificate:
     """Lower bound for the abelianization rank of a normal finite-index
     subgroup, from the maximal-power decomposition of the relators.
 
@@ -288,7 +287,7 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
     T = rec.table
     N = rec.index
     text = print_presentation(P)
-    params = {"tietze_budget": budget, "bound_formula": RANK_BOUND_FORMULA}
+    params = {"bound_formula": RANK_BOUND_FORMULA}
     bound, failing = _allcock_bound(P, T)
     if bound is None:
         return _inconclusive(
@@ -300,7 +299,7 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
             },
             {"index": N, "table": _table_payload(T)},
         )
-    inv = abelian_invariants(subgroup_presentation(P, rec, budget))
+    inv = abelian_invariants(reidemeister_schreier(P, T))
     if inv.free_rank < math.ceil(bound):
         raise AssertionError("measured rank fell below the guaranteed bound")
     cert = Certificate(
@@ -320,20 +319,19 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord,
     return _issue(cert)
 
 
-def find_z_surjection(P: Presentation, max_index: int,
-                      budget: int = DEFAULT_TIETZE_BUDGET) -> Certificate:
+def find_z_surjection(P: Presentation, max_index: int) -> Certificate:
     """Search normal subgroups of index <= max_index, in canonical order,
     for one whose abelianization has positive free rank."""
     text = print_presentation(P)
     examined = []
     for rec in low_index_normal(P, max_index):
-        inv = abelian_invariants(subgroup_presentation(P, rec, budget))
+        inv = abelian_invariants(reidemeister_schreier(P, rec.table))
         examined.append(rec.index)
         if inv.free_rank >= 1:
             cert = Certificate(
                 kind=Z_SURJECTION_WITNESS,
                 presentation=text,
-                parameters={"max_index": max_index, "tietze_budget": budget},
+                parameters={"max_index": max_index},
                 witness={
                     "index": rec.index,
                     "table": _table_payload(rec.table),
@@ -346,7 +344,6 @@ def find_z_surjection(P: Presentation, max_index: int,
         text,
         {
             "max_index": max_index,
-            "tietze_budget": budget,
             "reason": "no normal subgroup in range surjects onto Z",
             "examined_indices": examined,
         },
@@ -365,6 +362,8 @@ def certify_free_quotient(H: Presentation, kill_budget: int,
     stops them, and a relator-free presentation on k generators abelianizes
     to Z^k, so the skipped subsets could never succeed: the first kill set
     found is the same as without the check."""
+    if kill_budget < 0:
+        raise ValueError("kill_budget must be at least 0")
     text = print_presentation(H)
     params = {"kill_budget": kill_budget, "tietze_budget": budget}
     n = H.n_generators
@@ -404,6 +403,8 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
     with a free quotient of rank >= 2, searched in canonical order."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if kill_budget < 0:
+        raise ValueError("kill_budget must be at least 0")
     text = print_presentation(P)
     params = {
         "p": p,

@@ -164,7 +164,7 @@ def _cmd_certify_allcock(args) -> int:
     result = _enumerate(P, args)
     if isinstance(result, Exhausted):
         return _print_exhausted(result.max_cosets, args.json)
-    return _emit_certificate(certs.allcock_rank_bound(P, subgroup_record(result), args.tietze_budget), args.json)
+    return _emit_certificate(certs.allcock_rank_bound(P, subgroup_record(result)), args.json)
 
 
 def _cmd_certify_power_quotient(args) -> int:
@@ -224,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     add(what, "p-large", _cmd_certify, "-p", "--max-index", "--kill-budget", "--tietze-budget", "--json").set_defaults(
         issue=lambda P, a: certs.certify_p_large_witness(P, a.p, a.max_index, a.kill_budget, a.tietze_budget)
     )
-    add(what, "z-surjection", _cmd_certify, "--max-index", "--tietze-budget", "--json").set_defaults(
-        issue=lambda P, a: certs.find_z_surjection(P, a.max_index, a.tietze_budget)
+    add(what, "z-surjection", _cmd_certify, "--max-index", "--json").set_defaults(
+        issue=lambda P, a: certs.find_z_surjection(P, a.max_index)
     )
     add(what, "free-quotient", _cmd_certify, "--kill-budget", "--tietze-budget", "--json").set_defaults(
         issue=lambda P, a: certs.certify_free_quotient(P, a.kill_budget, a.tietze_budget)
     )
-    add(what, "allcock", _cmd_certify_allcock, "--subgroup-gens", "--max-cosets", "--tietze-budget", "--json")
+    add(what, "allcock", _cmd_certify_allcock, "--subgroup-gens", "--max-cosets", "--json")
     wp = what.add_parser("power-quotient")
     wp.add_argument("rank", type=int)
     wp.add_argument("count", type=int)

@@ -127,19 +127,14 @@ def power_survives(T: CosetTable, w: Word, r: int) -> bool:
 def is_normal(T: CosetTable) -> bool:
     """True when the subgroup at coset 1 is normal, decided on the table
     alone: for each generator g the map 1 -> 1.g extends to a permutation
-    of the cosets commuting with the action.  Subgroup words are ignored."""
-    return _rows_normal(T.rows)
-
-
-def _rows_normal(rows) -> bool:
-    """``is_normal`` on complete 1-based rows, without the table wrapper
-    (the low-index search tests every table it finds).
+    of the cosets commuting with the action.  Subgroup words are ignored.
 
     For each generator g, grow the map 1 -> 1.g along the action by one
     breadth-first pass, requiring (x.c)^phi = (x^phi).c for every column
     c.  The map is well defined exactly when H lies in Stab(1.g) = g^-1 H g,
     which has the same index, so H = g^-1 H g; holding for every generator,
     this is normality.  O(n N) per generator."""
+    rows = T.rows
     for col in range(0, len(rows[0]), 2):
         phi = [0] * (len(rows) + 1)
         phi[1] = rows[0][col]

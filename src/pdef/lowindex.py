@@ -19,8 +19,8 @@ order, so every complete table the search emits is already in canonical
 BFS numbering; distinct tables are distinct subgroups (not conjugacy
 classes), each appearing exactly once.
 
-Normality is decided on the table alone (the test behind
-``cosets.is_normal``); records carry no subgroup generators, which
+Normality is decided on the table alone, by ``cosets.is_normal``, once
+per table; records carry no subgroup generators, which
 ``rewriting.schreier_generators`` builds from the table when needed.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cosets import CosetTable, _relator_cols, _rows_normal, _scan, is_normal
+from .cosets import CosetTable, _relator_cols, _scan, is_normal
 from .presentations import Presentation
 
 
@@ -151,5 +151,5 @@ def low_index_subgroups(P: Presentation, max_index: int) -> list[SubgroupRecord]
 
 def low_index_normal(P: Presentation, max_index: int) -> list[SubgroupRecord]:
     """The normal subgroups among low_index_subgroups, same order."""
-    normal = (T for T in _complete_tables(P, max_index) if _rows_normal(T.rows))
-    return [subgroup_record(T) for T in sorted(normal, key=_canonical_order)]
+    normal = (T for T in _complete_tables(P, max_index) if is_normal(T))
+    return [SubgroupRecord(T, T.n_cosets, True) for T in sorted(normal, key=_canonical_order)]

@@ -81,9 +81,6 @@ class Word:
         """Largest generator index appearing (0 for the empty word)."""
         return max((abs(ell) for ell in self.letters), default=0)
 
-    def exponent_sum(self, gen: int) -> int:
-        return sum(1 if ell == gen else -1 if ell == -gen else 0 for ell in self.letters)
-
 
 EPSILON = Word()
 

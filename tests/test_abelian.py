@@ -2,13 +2,16 @@ import random
 
 from pdef import (
     IntegerMatrix,
+    Presentation,
     abelian_invariants,
     parse_presentation,
+    reduce,
     relator_matrix,
     smith_normal_form,
     surjects_onto_Z,
     tietze_simplify,
 )
+from pdef.abelian import cokernel_invariants
 from oracles import determinant, matmul
 
 
@@ -99,3 +102,23 @@ def test_invariant_bounds(finite_corpus):
         inv = abelian_invariants(P)
         assert inv.free_rank + len(inv.torsion) <= P.n_generators
         assert all(d >= 2 for d in inv.torsion)
+
+
+def test_unit_pivots_match_dense_snf_and_tietze():
+    # empty relators, unused generators and entries other than +-1 all
+    # occur; the sparse elimination must agree with SNF of the whole
+    # matrix and with the invariants of a Tietze-simplified presentation
+    rng = random.Random(53)
+    for _ in range(600):
+        n = rng.randrange(0, 6)
+        relators = []
+        for _ in range(rng.randrange(0, 7)):
+            length = rng.randrange(0, 12) if n else 0
+            relators.append(reduce([rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(length)]))
+        if n and rng.random() < 0.3:
+            g = rng.randrange(1, n + 1)
+            relators.append(reduce([g] * rng.randrange(2, 7)))  # a pure power, no unit entry
+        P = Presentation(tuple(f"g{i}" for i in range(n)), tuple(relators))
+        inv = abelian_invariants(P)
+        assert inv == cokernel_invariants(relator_matrix(P), n)
+        assert inv == abelian_invariants(tietze_simplify(P))

@@ -18,6 +18,8 @@ from pdef import (
     parse_presentation,
     power_quotient_largeness,
     subgroup_presentation,
+    subgroup_record,
+    todd_coxeter,
     verify,
 )
 from pdef.certificates import (
@@ -144,6 +146,40 @@ def test_find_z_surjection(dinf, triangle_power_pres):
     cert = find_z_surjection(finite, 4)
     assert cert.kind == INCONCLUSIVE
     assert cert.parameters["examined_indices"] == [1, 2]
+
+
+def test_klein_quartic_rank_bound_is_fast():
+    # the kernel of the (2,3,7) triangle group onto PSL(2,7): 169 Schreier
+    # generators and 504 relators, read exactly without Tietze
+    triangle = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\nrel: (a*b)^7\n")
+    psl27 = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\nrel: (a*b)^7\nrel: [a,b]^4\n")
+    rec = subgroup_record(todd_coxeter(psl27, []))
+    start = time.perf_counter()
+    cert = allcock_rank_bound(triangle, rec)
+    assert verify(from_json(to_json(cert)))
+    assert time.perf_counter() - start < 0.3
+    assert cert.kind == ALLCOCK_BOUND and cert.witness["index"] == 168
+    assert cert.witness["bound"] == "5"
+    assert cert.witness["abelian_invariants"] == {"rank": 6, "torsion": []}
+    assert "tietze_budget" not in cert.parameters
+
+
+def test_rank_certificates_with_a_tietze_budget_still_verify(dinf):
+    # certificates issued before the rank path dropped Tietze carry the
+    # budget as a parameter; verify never reads it
+    rec = next(r for r in low_index_normal(dinf, 2) if allcock_rank_bound(dinf, r).kind == ALLCOCK_BOUND)
+    for cert in (allcock_rank_bound(dinf, rec), find_z_surjection(dinf, 2)):
+        for budget in (5000, 0):
+            d = to_json_dict(cert)
+            d["parameters"] = {**d["parameters"], "tietze_budget": budget}
+            assert verify(from_json(json.dumps(d)))
+
+
+def test_negative_kill_budget_is_rejected(rank4_pres, triangle_power_pres):
+    with pytest.raises(ValueError, match="kill_budget must be at least 0"):
+        certify_free_quotient(rank4_pres, -1)
+    with pytest.raises(ValueError, match="kill_budget must be at least 0"):
+        certify_p_large_witness(triangle_power_pres, 3, 3, -1)
 
 
 def test_certify_free_quotient(rank4_pres):

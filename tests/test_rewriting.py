@@ -113,3 +113,12 @@ def test_dinf_translation_family_rank_one(dinf):
         H = reidemeister_schreier(dinf, T)
         inv = abelian_invariants(H)
         assert inv.free_rank == 1 and inv.torsion == ()
+
+
+def test_rewritten_invariants_need_no_tietze(finite_corpus, dinf, triangle_power_pres):
+    # the rank certificates read H_1 off the raw rewritten presentation;
+    # Tietze-simplifying it first is the reference
+    for P, max_index in [(P, 6) for P in finite_corpus] + [(dinf, 6), (triangle_power_pres, 3)]:
+        for rec in low_index_normal(P, max_index):
+            raw = abelian_invariants(reidemeister_schreier(P, rec.table))
+            assert raw == abelian_invariants(subgroup_presentation(P, rec))
