@@ -25,7 +25,6 @@ from .cosets import (
 )
 from .lowindex import SubgroupRecord, low_index_normal, subgroup_record
 from .presentations import (
-    DEFAULT_TIETZE_BUDGET,
     ParseError,
     Presentation,
     p_deficiency,
@@ -119,6 +118,8 @@ def validate_certificate_dict(d: dict) -> None:
         raise MalformedCertificate(f"unknown kind {d['kind']!r}")
     if "presentation" in d and not isinstance(d["presentation"], str):
         raise MalformedCertificate("presentation must be a string")
+    if "presentation" not in d and d["kind"] not in (POWER_QUOTIENT_LARGE, INCONCLUSIVE):
+        raise MalformedCertificate(f"kind {d['kind']} requires a presentation")
     if not isinstance(d["parameters"], dict):
         raise MalformedCertificate("parameters must be an object")
     if not isinstance(d["verified"], bool):
@@ -150,7 +151,9 @@ def validate_certificate_dict(d: dict) -> None:
         inv = witness["abelian_invariants"]
         if set(inv) != {"rank", "torsion"}:
             raise MalformedCertificate("abelian_invariants is {rank, torsion}")
-        if not isinstance(inv["rank"], int) or not all(isinstance(x, int) for x in inv["torsion"]):
+        if not isinstance(inv["rank"], int) or not isinstance(inv["torsion"], list):
+            raise MalformedCertificate("abelian_invariants must hold integers")
+        if not all(isinstance(x, int) for x in inv["torsion"]):
             raise MalformedCertificate("abelian_invariants must hold integers")
 
 
@@ -233,6 +236,13 @@ def _measured_rank(P: Presentation, rec: SubgroupRecord, c: Certificate) -> int 
     if inv.free_rank == stored["rank"] and list(inv.torsion) == stored["torsion"]:
         return inv.free_rank
     return None
+
+
+def _free_rank(H: Presentation, kill) -> int | None:
+    """Rank of the free group that H modulo the words kill Tietze-simplifies
+    to, or None unless that is relator-free on at least two generators."""
+    Q = tietze_simplify(quotient_by_words(H, kill))
+    return Q.n_generators if not Q.relators and Q.n_generators >= 2 else None
 
 
 def _inconclusive(presentation: str | None, parameters: dict, witness: dict | None = None) -> Certificate:
@@ -350,22 +360,21 @@ def find_z_surjection(P: Presentation, max_index: int) -> Certificate:
     )
 
 
-def certify_free_quotient(H: Presentation, kill_budget: int,
-                          budget: int = DEFAULT_TIETZE_BUDGET) -> Certificate:
+def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
     """Look for generators whose removal frees the presentation: kill-set
     subsets are tried smallest first, in generator order, at most
     kill_budget generators at a time.  Sound but incomplete.
 
     A subset is simplified only when the quotient's abelianization (H's
     exponent-sum matrix without the subset's columns) is free abelian of
-    rank >= 2.  Tietze moves keep the group, also when the step budget
+    rank >= 2.  Tietze moves keep the group, also when the step limit
     stops them, and a relator-free presentation on k generators abelianizes
     to Z^k, so the skipped subsets could never succeed: the first kill set
     found is the same as without the check."""
     if kill_budget < 0:
         raise ValueError("kill_budget must be at least 0")
     text = print_presentation(H)
-    params = {"kill_budget": kill_budget, "tietze_budget": budget}
+    params = {"kill_budget": kill_budget}
     n = H.n_generators
     exponent_sums = relator_matrix(H).entries
     for size in range(0, min(kill_budget, n - 2) + 1):
@@ -376,20 +385,18 @@ def certify_free_quotient(H: Presentation, kill_budget: int,
             )
             if inv.torsion or inv.free_rank < 2:
                 continue
-            Q = tietze_simplify(
-                quotient_by_words(H, [Word((g,)) for g in subset]), budget
-            )
-            if not Q.relators and Q.n_generators >= 2:
+            rank = _free_rank(H, [Word((g,)) for g in subset])
+            if rank is not None:
                 cert = Certificate(
                     kind=FREE_QUOTIENT_WITNESS,
                     presentation=text,
                     parameters=params,
                     witness={
                         "kill_set": [H.generator_names[g - 1] for g in subset],
-                        "abelian_invariants": {"rank": Q.n_generators, "torsion": []},
+                        "abelian_invariants": {"rank": rank, "torsion": []},
                     },
                     conclusions=[
-                        Conclusion(f"free quotient of rank {Q.n_generators}", "definition"),
+                        Conclusion(f"free quotient of rank {rank}", "definition"),
                         Conclusion("large", "definition"),
                     ],
                 )
@@ -397,8 +404,7 @@ def certify_free_quotient(H: Presentation, kill_budget: int,
     return _inconclusive(text, {**params, "reason": "no kill set in budget frees the presentation"})
 
 
-def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int,
-                            budget: int = DEFAULT_TIETZE_BUDGET) -> Certificate:
+def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int) -> Certificate:
     """Exhibit p-largeness directly: a normal subgroup of p-power index
     with a free quotient of rank >= 2, searched in canonical order."""
     if not is_prime(p):
@@ -406,17 +412,11 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
     if kill_budget < 0:
         raise ValueError("kill_budget must be at least 0")
     text = print_presentation(P)
-    params = {
-        "p": p,
-        "max_index": max_index,
-        "kill_budget": kill_budget,
-        "tietze_budget": budget,
-    }
+    params = {"p": p, "max_index": max_index, "kill_budget": kill_budget}
     for rec in low_index_normal(P, max_index):
         if _valuation(rec.index, p)[1] != 1:
             continue
-        Hpres = subgroup_presentation(P, rec, budget)
-        sub = certify_free_quotient(Hpres, kill_budget, budget)
+        sub = certify_free_quotient(subgroup_presentation(P, rec), kill_budget)
         if sub.kind == FREE_QUOTIENT_WITNESS:
             cert = Certificate(
                 kind=P_LARGE_WITNESS,
@@ -585,8 +585,7 @@ def verify(c: Certificate) -> bool:
             rec = _normal_record(P, c.witness)
             if rec is None or not is_prime(p) or _valuation(rec.index, p)[1] != 1:
                 return False
-            H = subgroup_presentation(P, rec, c.parameters["tietze_budget"])
-            return _check_free_quotient(H, c)
+            return _check_free_quotient(subgroup_presentation(P, rec), c)
         raise MalformedCertificate(f"unknown kind {c.kind!r}")
     except (MalformedCertificate, ParseError):
         raise
@@ -598,12 +597,6 @@ def _check_free_quotient(H: Presentation, c: Certificate) -> bool:
     names = c.witness["kill_set"]
     if any(name not in H.generator_names for name in names):
         return False
-    kill = [H.generator(name) for name in names]
-    Q = tietze_simplify(quotient_by_words(H, kill), c.parameters["tietze_budget"])
+    rank = _free_rank(H, [H.generator(name) for name in names])
     stored = c.witness["abelian_invariants"]
-    return (
-        not Q.relators
-        and Q.n_generators >= 2
-        and Q.n_generators == stored["rank"]
-        and stored["torsion"] == []
-    )
+    return rank is not None and rank == stored["rank"] and stored["torsion"] == []

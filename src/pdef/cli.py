@@ -16,7 +16,6 @@ from .abelian import abelian_invariants
 from .cosets import DEFAULT_MAX_COSETS, Exhausted, todd_coxeter
 from .lowindex import low_index_normal, low_index_subgroups, subgroup_record
 from .presentations import (
-    DEFAULT_TIETZE_BUDGET,
     ParseError,
     Presentation,
     deficiency_count,
@@ -141,7 +140,7 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_simplify(args) -> int:
     P = _read_presentation(args.presentation)
-    sys.stdout.write(print_presentation(tietze_simplify(P, args.tietze_budget)))
+    sys.stdout.write(print_presentation(tietze_simplify(P)))
     return 0
 
 
@@ -189,7 +188,6 @@ _OPTIONS = {
     "--max-index": {"type": int, "default": 3},
     "--max-cosets": {"type": int, "default": DEFAULT_MAX_COSETS},
     "--kill-budget": {"type": int, "default": 3},
-    "--tietze-budget": {"type": int, "default": DEFAULT_TIETZE_BUDGET},
     "--json": {"action": "store_true"},
     "--subgroup-gens": {"help": "semicolon-separated words"},
 }
@@ -214,21 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
     add(sub, "lowindex", _cmd_lowindex, "--normal", "--max-index", "--json", help="subgroups of index <= N")
     add(sub, "rewrite", _cmd_rewrite, *_COSET_OPTIONS, help="subgroup presentation via rewriting")
     add(sub, "abelianize", _cmd_abelianize, help="abelian invariants")
-    add(sub, "simplify", _cmd_simplify, "--tietze-budget", help="Tietze-simplify a presentation")
+    add(sub, "simplify", _cmd_simplify, help="Tietze-simplify a presentation")
     add(sub, "dump-table", _cmd_dump_table, *_COSET_OPTIONS, help="coset table for a subgroup")
 
     what = sub.add_parser("certify", help="issue a certificate").add_subparsers(dest="what", required=True)
     add(what, "p-large-def", _cmd_certify, "-p", "--json").set_defaults(
         issue=lambda P, a: certs.certify_p_large_by_deficiency(P, a.p)
     )
-    add(what, "p-large", _cmd_certify, "-p", "--max-index", "--kill-budget", "--tietze-budget", "--json").set_defaults(
-        issue=lambda P, a: certs.certify_p_large_witness(P, a.p, a.max_index, a.kill_budget, a.tietze_budget)
+    add(what, "p-large", _cmd_certify, "-p", "--max-index", "--kill-budget", "--json").set_defaults(
+        issue=lambda P, a: certs.certify_p_large_witness(P, a.p, a.max_index, a.kill_budget)
     )
     add(what, "z-surjection", _cmd_certify, "--max-index", "--json").set_defaults(
         issue=lambda P, a: certs.find_z_surjection(P, a.max_index)
     )
-    add(what, "free-quotient", _cmd_certify, "--kill-budget", "--tietze-budget", "--json").set_defaults(
-        issue=lambda P, a: certs.certify_free_quotient(P, a.kill_budget, a.tietze_budget)
+    add(what, "free-quotient", _cmd_certify, "--kill-budget", "--json").set_defaults(
+        issue=lambda P, a: certs.certify_free_quotient(P, a.kill_budget)
     )
     add(what, "allcock", _cmd_certify_allcock, "--subgroup-gens", "--max-cosets", "--json")
     wp = what.add_parser("power-quotient")

@@ -7,7 +7,7 @@ import string
 from typing import TYPE_CHECKING
 
 from .cosets import CosetTable, _col
-from .presentations import DEFAULT_TIETZE_BUDGET, Presentation, tietze_simplify
+from .presentations import Presentation, tietze_simplify
 from .words import EPSILON, Word, reduce
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,8 +85,6 @@ def reidemeister_schreier(P: Presentation, T: CosetTable, transversal=None) -> P
     return Presentation(names, tuple(new_relators))
 
 
-def subgroup_presentation(
-    P: Presentation, rec: "SubgroupRecord", budget: int = DEFAULT_TIETZE_BUDGET
-) -> Presentation:
+def subgroup_presentation(P: Presentation, rec: "SubgroupRecord") -> Presentation:
     """Rewritten then simplified presentation of a recorded subgroup."""
-    return tietze_simplify(reidemeister_schreier(P, rec.table), budget)
+    return tietze_simplify(reidemeister_schreier(P, rec.table))

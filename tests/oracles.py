@@ -11,7 +11,13 @@ from itertools import combinations
 
 from pdef import Presentation, Word, quotient_by_words, reduce, word_power
 from pdef.cosets import canonicalize_rows
-from pdef.presentations import DEFAULT_TIETZE_BUDGET, TietzeBudgetWarning
+from pdef.presentations import (
+    MAX_WORD_LENGTH,
+    ParseError,
+    PresentationWarning,
+    TietzeBudgetWarning,
+    _tokenize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +321,7 @@ def _drop_generator(w: Word, gen: int) -> Word:
     return Word(tuple(ell - 1 if ell > gen else ell + 1 if ell < -gen else ell for ell in w.letters))
 
 
-def reference_tietze(P: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Presentation:
+def reference_tietze(P: Presentation, budget: int = 5000) -> Presentation:
     """Greedy presentation simplification: cyclically reduce relators, drop
     empty and rotation/inversion duplicates, and eliminate a generator when
     some relator expresses it as a word in the others.  Each accepted step
@@ -412,7 +418,7 @@ def reference_tietze(P: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pr
     return Presentation(tuple(names), tuple(relators))
 
 
-def reference_free_quotient(H: Presentation, kill_budget: int, budget: int = DEFAULT_TIETZE_BUDGET):
+def reference_free_quotient(H: Presentation, kill_budget: int, budget: int = 5000):
     """(kill set names, free rank) of the first subset, smallest first in
     generator order, whose quotient simplifies to a relator-free
     presentation on >= 2 generators; None when no subset in budget does."""
@@ -423,3 +429,111 @@ def reference_free_quotient(H: Presentation, kill_budget: int, budget: int = DEF
             if not Q.relators and Q.n_generators >= 2:
                 return [H.generator_names[g - 1] for g in subset], Q.n_generators
     return None
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent word parser the package used before its explicit
+# stack (kept verbatim; Python's recursion limit caps its nesting depth)
+
+
+class _WordParser:
+    """Recursive descent over one relator expression."""
+
+    def __init__(self, tokens, line_no, gen_index):
+        self.tokens = tokens
+        self.pos = 0
+        self.line = line_no
+        self.gen_index = gen_index
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of line", self.line, self._end_col())
+        self.pos += 1
+        return tok
+
+    def _end_col(self):
+        return self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 1
+
+    def expect(self, value):
+        tok = self.take()
+        if tok[1] != value:
+            raise ParseError(f"expected {value!r}, got {tok[1]!r}", self.line, tok[2])
+        return tok
+
+    def _check_length(self, length: int, tok) -> None:
+        if length > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", self.line, tok[2])
+
+    def parse_word(self) -> list[int]:
+        letters = list(self.parse_term())
+        while True:
+            tok = self.peek()
+            if tok is None or tok[1] in (")", ",", "]"):
+                return letters
+            if tok[1] == "*":
+                self.take()
+            term = self.parse_term()
+            self._check_length(len(letters) + len(term), tok)
+            letters.extend(term)
+
+    def parse_term(self) -> list[int]:
+        letters = self.parse_atom()
+        tok = self.peek()
+        if tok is not None and tok[1] == "^":
+            self.take()
+            itok = self.take()
+            if itok[0] != "INT":
+                raise ParseError(f"expected an integer exponent, got {itok[1]!r}", self.line, itok[2])
+            n = int(itok[1])
+            if n == 0:
+                warnings.warn(
+                    f"line {self.line}: zero exponent yields the empty word",
+                    PresentationWarning,
+                    stacklevel=6,
+                )
+                return []
+            self._check_length(len(letters) * abs(n), itok)
+            if n < 0:
+                letters = [-ell for ell in reversed(letters)]
+                n = -n
+            return letters * n
+        return letters
+
+    def parse_atom(self) -> list[int]:
+        tok = self.take()
+        if tok[0] == "NAME":
+            idx = self.gen_index.get(tok[1])
+            if idx is None:
+                raise ParseError(f"unknown generator {tok[1]!r}", self.line, tok[2])
+            return [idx]
+        if tok[1] == "(":
+            inner = self.parse_word()
+            self.expect(")")
+            return inner
+        if tok[1] == "[":
+            a = self.parse_word()
+            self.expect(",")
+            b = self.parse_word()
+            self._check_length(2 * (len(a) + len(b)), self.expect("]"))
+            ainv = [-ell for ell in reversed(a)]
+            binv = [-ell for ell in reversed(b)]
+            return ainv + binv + a + b
+        raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+
+
+def reference_parse_word(text: str, generator_names, line_no: int = 1) -> Word:
+    """Parse a single word expression with the recursive parser."""
+    gen_index = {name: i + 1 for i, name in enumerate(generator_names)}
+    tokens = _tokenize(text, line_no)
+    if not tokens:
+        raise ParseError("empty word expression", line_no, 1)
+    parser = _WordParser(tokens, line_no, gen_index)
+    letters = parser.parse_word()
+    if parser.peek() is not None:
+        tok = parser.peek()
+        raise ParseError(f"trailing input {tok[1]!r}", line_no, tok[2])
+    return reduce(letters)

@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import math
 import random
@@ -5,8 +7,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdef import (
+    ParseError,
     abelian_invariants,
     allcock_rank_bound,
     certify_free_quotient,
@@ -36,6 +41,7 @@ from pdef.certificates import (
     to_json_dict,
     validate_certificate_dict,
 )
+from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT
 from oracles import random_primitive_word
 
 
@@ -164,11 +170,18 @@ def test_klein_quartic_rank_bound_is_fast():
     assert "tietze_budget" not in cert.parameters
 
 
-def test_rank_certificates_with_a_tietze_budget_still_verify(dinf):
-    # certificates issued before the rank path dropped Tietze carry the
-    # budget as a parameter; verify never reads it
+def test_rank_certificates_with_a_tietze_budget_still_verify(dinf, rank4_pres, triangle_power_pres):
+    # certificates issued while the Tietze step budget was a parameter
+    # carry it; verify never reads it
     rec = next(r for r in low_index_normal(dinf, 2) if allcock_rank_bound(dinf, r).kind == ALLCOCK_BOUND)
-    for cert in (allcock_rank_bound(dinf, rec), find_z_surjection(dinf, 2)):
+    issued = (
+        allcock_rank_bound(dinf, rec),
+        find_z_surjection(dinf, 2),
+        certify_p_large_witness(triangle_power_pres, 3, 3, 3),
+        certify_free_quotient(rank4_pres, 3),
+    )
+    assert [c.kind for c in issued] == [ALLCOCK_BOUND, Z_SURJECTION_WITNESS, P_LARGE_WITNESS, FREE_QUOTIENT_WITNESS]
+    for cert in issued:
         for budget in (5000, 0):
             d = to_json_dict(cert)
             d["parameters"] = {**d["parameters"], "tietze_budget": budget}
@@ -448,3 +461,82 @@ def test_mutation_fuzz(dinf, rank4_pres, triangle_power_pres):
         except MalformedCertificate:
             rejected += 1
     assert rejected == total
+
+
+@functools.cache
+def _issued() -> tuple[dict, ...]:
+    """One issued certificate of each kind, as JSON objects."""
+    dinf, rank4, P = (parse_presentation(t) for t in (DINF_TEXT, RANK4_TEXT, P_TEXT))
+    rec = next(r for r in low_index_normal(dinf, 2) if r.index == 2)
+    certs = (
+        certify_p_large_by_deficiency(parse_presentation("gens: x, y\nrel: x^2"), 2),
+        allcock_rank_bound(dinf, rec),
+        find_z_surjection(dinf, 2),
+        certify_free_quotient(rank4, 3),
+        certify_p_large_witness(P, 3, 3, 3),
+        power_quotient_largeness(2, 3, 8),
+        find_z_surjection(parse_presentation("gens: x\nrel: x^2"), 4),
+    )
+    return tuple(to_json_dict(c) for c in certs)
+
+
+def _locations(node, path=()):
+    """The path of every value inside a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _nested(text: str, depth: int) -> str:
+    """The presentation with each relator wrapped in depth parentheses."""
+    return "".join(
+        "rel: " + "(" * depth + line[5:] + ")" * depth + "\n" if line.startswith("rel: ") else line + "\n"
+        for line in text.splitlines()
+    )
+
+
+@st.composite
+def mutated_certificates(draw):
+    """(how, d): an issued certificate with a key deleted, a value retyped,
+    an int made huge or negative, or its relators nested 400 deep."""
+    d = copy.deepcopy(draw(st.sampled_from(range(7)).map(lambda i: _issued()[i])))
+    how = draw(st.sampled_from(["delete", "retype", "int", "nest"]))
+    if how == "nest":
+        d["presentation"] = _nested(d.get("presentation", "gens: x\nrel: x^2\n"), 400)
+        return how, d
+    paths = list(_locations(d))
+    if how == "delete":
+        paths = [p for p in paths if isinstance(_at(d, p[:-1]), dict)]
+    if how == "int":
+        paths = [p for p in paths if type(_at(d, p)) is int]
+    path = draw(st.sampled_from(paths))
+    old = _at(d, path)
+    if how == "delete":
+        del _at(d, path[:-1])[path[-1]]
+    elif how == "retype":
+        pool = ["x", 3, 2.5, None, True, [], [3], {}, {"rank": 3}]
+        _at(d, path[:-1])[path[-1]] = draw(st.sampled_from([v for v in pool if type(v) is not type(old)]))
+    else:
+        _at(d, path[:-1])[path[-1]] = draw(st.sampled_from([-1, -(10**30), 10**30, 2**64 + 1]))
+    return how, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_certificates())
+def test_verify_fuzz(mutation):
+    how, d = mutation
+    try:
+        result = verify(from_json(json.dumps(d)))
+    except (MalformedCertificate, ParseError):
+        assert how != "nest"
+        return
+    assert isinstance(result, bool)
+    if how == "nest":
+        assert result  # the same relators, only nested

@@ -172,22 +172,40 @@ def test_two_large_prime_factors_are_bounded(capsys):
 
 
 def test_hostile_words_are_reported_errors(capsys, tmp_path, monkeypatch):
+    # 5000 nested parentheses are legal and parse to x: <x | x> is trivial
     f = tmp_path / "nested.grp"
     f.write_text("gens: x\nrel: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
     code, out, err = run(capsys, "simplify", str(f))
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert code == 0 and out == "gens: \n"
 
     f.write_text("gens: x\nrel: x^300000000\n")
     code, out, err = run(capsys, "simplify", str(f))
     assert code == 2 and out == "" and "longer than" in err
 
-    def exhausted(P, budget):
+    def exhausted(P):
         raise MemoryError
 
     monkeypatch.setattr("pdef.cli.tietze_simplify", exhausted)
     f.write_text("gens: x\nrel: x^2\n")
     code, out, err = run(capsys, "simplify", str(f))
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_trivial_presentation_round_trips(capsys, tmp_path, monkeypatch):
+    import io
+
+    # <x | x> simplifies to no generators at all, printed as "gens: "
+    monkeypatch.setattr(sys, "stdin", io.StringIO("gens: x\nrel: x\n"))
+    code, simplified, _ = run(capsys, "simplify", "-")
+    assert code == 0 and simplified == "gens: \n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(simplified))
+    assert run(capsys, "abelianize", "-")[:2] == (0, "1\n")
+
+    f = tmp_path / "trivial.grp"
+    f.write_text("gens:\n")
+    for argv in (("def", "-p", "2"), ("lowindex",), ("dump-table",), ("certify", "p-large-def", "-p", "2")):
+        code, out, err = run(capsys, *argv, str(f))
+        assert code in (0, 1) and out and err == "", argv
 
 
 def test_exhaustion_exit_code(capsys, tmp_path):
@@ -257,11 +275,11 @@ SUBCOMMAND_OPTIONS = {
     "lowindex": {"--normal": False, "--max-index": 3, "--json": False},
     "rewrite": {"--subgroup-gens": None, "--max-cosets": 100000, "--json": False},
     "dump-table": {"--subgroup-gens": None, "--max-cosets": 100000, "--json": False},
-    "simplify": {"--tietze-budget": 5000},
+    "simplify": {},
     "certify p-large-def": {"-p": None, "--json": False},
-    "certify p-large": {"-p": None, "--max-index": 3, "--kill-budget": 3, "--tietze-budget": 5000, "--json": False},
+    "certify p-large": {"-p": None, "--max-index": 3, "--kill-budget": 3, "--json": False},
     "certify z-surjection": {"--max-index": 3, "--json": False},
-    "certify free-quotient": {"--kill-budget": 3, "--tietze-budget": 5000, "--json": False},
+    "certify free-quotient": {"--kill-budget": 3, "--json": False},
     "certify allcock": {"--subgroup-gens": None, "--max-cosets": 100000, "--json": False},
     "certify power-quotient": {"--json": False},
     "verify": {},
@@ -285,7 +303,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
     walk(build_parser(), ())
     assert found == SUBCOMMAND_OPTIONS
-    assert sum(len(options) for options in found.values()) == 27
+    assert sum(len(options) for options in found.values()) == 24
 
 
 @pytest.mark.parametrize(
@@ -302,6 +320,9 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         ("certify", "z-surjection", "--tietze-budget", "5"),
         ("certify", "free-quotient", "--kill-budget", "-1"),
         ("certify", "p-large", "-p", "2", "--kill-budget", "-1"),
+        ("simplify", "--tietze-budget", "5"),
+        ("certify", "p-large", "-p", "3", "--tietze-budget", "5"),
+        ("certify", "free-quotient", "--tietze-budget", "5"),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, tmp_path, argv):
@@ -348,3 +369,8 @@ def test_tracer_names_resolve_to_pdef_functions(monkeypatch):
         module, function = name.split(".")
         fn = getattr(importlib.import_module(f"pdef.{module}"), function, None)
         assert inspect.isfunction(fn) and fn.__module__ == f"pdef.{module}", name
+    # _count_budget_stops imports the warning class only when a trace runs
+    lazy = tracer.Tracer._count_budget_stops.__code__.co_names
+    assert "pdef.presentations" in lazy and "TietzeBudgetWarning" in lazy
+    warning = getattr(importlib.import_module("pdef.presentations"), "TietzeBudgetWarning", None)
+    assert inspect.isclass(warning) and issubclass(warning, Warning)

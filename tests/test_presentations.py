@@ -2,8 +2,11 @@ import random
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdef import (
     ParseError,
@@ -19,6 +22,7 @@ from pdef import (
     quotient_by_words,
     tietze_simplify,
 )
+from pdef import presentations
 from pdef.presentations import (
     MAX_WORD_LENGTH,
     PresentationWarning,
@@ -26,7 +30,8 @@ from pdef.presentations import (
     print_word,
 )
 from conftest import P_TEXT, RANK4_TEXT
-from oracles import random_reduced_word
+import oracles
+from oracles import random_reduced_word, reference_parse_word
 
 
 def test_parse_commutator():
@@ -102,6 +107,56 @@ def test_print_parse_roundtrip():
     for text in texts:
         P = parse_presentation(text)
         assert parse_presentation(print_presentation(P)) == P
+    trivial = Presentation((), ())
+    assert print_presentation(trivial) == "gens: \n"
+    assert parse_presentation(print_presentation(trivial)) == trivial
+
+
+@st.composite
+def word_texts(draw):
+    """Word expressions nested up to 50 deep, with zero and large exponents;
+    half of them get one character deleted or inserted."""
+    atoms = st.sampled_from(["a", "b"])
+    factors = st.sampled_from(["a", "b", "a^40", "(b*a)^-300"])
+    exponents = st.sampled_from(["2", "-1", "0", "-3", "3", "-2", "40"])
+    text = draw(atoms)
+    for _ in range(draw(st.integers(0, 50))):
+        kind = draw(st.sampled_from(["paren", "commutator", "power", "product"]))
+        if kind == "paren":
+            text = f"({text})"
+        elif kind == "commutator":
+            other = draw(factors)
+            text = f"[{text}, {other}]" if draw(st.booleans()) else f"[{other},{text}]"
+        elif kind == "power":
+            text = draw(st.sampled_from(["({})^{}", "{}^{}"])).format(text, draw(exponents))
+        else:
+            text = draw(st.sampled_from(["{}*{}", "{} {}", "{} ({})"])).format(text, draw(factors))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + draw(st.sampled_from(list("()[],*^ ac1-$"))) + text[i:]
+    return text
+
+
+def _parse_outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, ("a", "b"))
+        except ParseError as e:
+            result = str(e)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_texts())
+def test_parser_matches_recursive_reference(text):
+    # a small length cap, so that both parsers also reach it often and cheaply
+    with mock.patch.object(presentations, "MAX_WORD_LENGTH", 1000), \
+            mock.patch.object(oracles, "MAX_WORD_LENGTH", 1000):
+        assert _parse_outcome(parse_word, text) == _parse_outcome(reference_parse_word, text)
 
 
 def test_print_word_collapses_runs():
@@ -214,8 +269,8 @@ def test_tietze_total_length_never_grows(finite_corpus):
 
 def test_tietze_budget_warning():
     P = parse_presentation("gens: x, y\nrel: y\nrel: y*x\n")
-    with pytest.warns(TietzeBudgetWarning):
-        tietze_simplify(P, budget=1)
+    with mock.patch.object(presentations, "TIETZE_STEPS", 1), pytest.warns(TietzeBudgetWarning):
+        tietze_simplify(P)
 
 
 def test_tietze_preserves_invariants(finite_corpus):

@@ -3,7 +3,9 @@ loops in ``oracles``: same presentations, same warnings, same kill sets."""
 
 import time
 import warnings
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +13,14 @@ from pdef import (
     Presentation,
     certify_free_quotient,
     parse_presentation,
+    presentations as presentations_module,
     print_presentation,
     reduce,
     reidemeister_schreier,
     tietze_simplify,
     todd_coxeter,
 )
+from pdef.presentations import TietzeBudgetWarning
 from oracles import reference_free_quotient, reference_tietze
 
 BUDGETS = (1, 2, 3, 5, 10**9)
@@ -45,25 +49,27 @@ def killable(draw):
     return Presentation(("a", "b", "c", "d"), tuple(relators))
 
 
-def _run(simplify, P, budget):
+def _run(simplify, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        Q = simplify(P, budget)
+        Q = simplify(*args)
     return Q, [(w.category, str(w.message)) for w in caught]
 
 
 @settings(max_examples=300, deadline=None)
 @given(presentations(), st.sampled_from(BUDGETS))
 def test_engine_matches_reference(P, budget):
-    assert _run(tietze_simplify, P, budget) == _run(reference_tietze, P, budget)
+    with mock.patch.object(presentations_module, "TIETZE_STEPS", budget):
+        engine = _run(tietze_simplify, P)
+    assert engine == _run(reference_tietze, P, budget)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(presentations(), killable()), st.integers(0, 3), st.sampled_from(BUDGETS))
 def test_kill_set_prune_matches_reference(H, kill_budget, budget):
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch.object(presentations_module, "TIETZE_STEPS", budget):
         warnings.simplefilter("ignore")
-        cert = certify_free_quotient(H, kill_budget, budget)
+        cert = certify_free_quotient(H, kill_budget)
         expected = reference_free_quotient(H, kill_budget, budget)
     if expected is None:
         assert cert.kind == "Inconclusive"
@@ -92,3 +98,19 @@ def test_klein_quartic_subgroup_is_pinned():
     S = tietze_simplify(H)
     assert time.perf_counter() - start < 2
     assert print_presentation(S) == KLEIN_QUARTIC_SIMPLIFIED
+
+
+def test_step_limit_stops_a_long_simplification():
+    # the trivial subgroup of the S6 Coxeter group: 720 cosets, so RS gives
+    # 720 * 4 + 1 generators and 720 * 15 relators; Tietze runs about two
+    # minutes to its fixpoint, and the step limit stops it well inside 2 s
+    rels = [f"s{i}^2" for i in range(1, 6)]
+    rels += [f"(s{i}*s{j})^{3 if j == i + 1 else 2}" for i in range(1, 6) for j in range(i + 1, 6)]
+    S6 = parse_presentation("gens: s1, s2, s3, s4, s5\n" + "".join(f"rel: {r}\n" for r in rels))
+    H = reidemeister_schreier(S6, todd_coxeter(S6, []))
+    assert (H.n_generators, len(H.relators)) == (2881, 10800)
+    start = time.perf_counter()
+    with pytest.warns(TietzeBudgetWarning, match="stopped after 5000 steps"):
+        S = tietze_simplify(H)
+    assert time.perf_counter() - start < 2
+    assert (S.n_generators, len(S.relators), sum(map(len, S.relators))) == (2881, 4920, 14405)
