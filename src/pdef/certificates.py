@@ -3,7 +3,9 @@
 Every certificate is a self-contained record: kind, echo of the inputs,
 witness payload, and cited conclusions.  ``verify`` recomputes each claim
 from the payload alone, so a certificate read back from JSON can be
-checked without trusting the issuing run.
+checked without trusting the issuing run.  The conclusions are determined
+by kind, parameters and witness: ``verify`` rejects any other list, and an
+Inconclusive certificate claims nothing.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def from_json_dict(d: dict) -> Certificate:
 def from_json(text: str) -> Certificate:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also an int past the digit limit, or nesting too deep
         raise MalformedCertificate(f"not JSON: {e}") from e
     return from_json_dict(d)
 
@@ -206,10 +208,40 @@ def _table_payload(T: CosetTable) -> list[list[int]]:
     return [list(row) for row in T.rows]
 
 
-def _issue(cert: Certificate) -> Certificate:
+def _conclusions(kind: str, parameters: dict, witness: dict) -> list[Conclusion]:
+    """The cited claims of a certificate, rebuilt from its payload: issuers
+    store this list and verify requires it.  An Inconclusive claims nothing."""
+    if kind == P_LARGE_BY_DEFICIENCY:
+        claims = [
+            ("p-large", "Thm 1.2"),
+            ("large", "Thm 1.2"),
+            ("not torsion", "Cor 2.1"),
+            ("no property (T)", "Cor 2.2"),
+        ]
+    elif kind == ALLCOCK_BOUND:
+        claims = [(f"subgroup abelianization rank >= {witness['bound']}", "Thm 1.1")]
+    elif kind == Z_SURJECTION_WITNESS:
+        claims = [("no property (T)", "Cor 2.2")]
+    elif kind == FREE_QUOTIENT_WITNESS:
+        rank = witness["abelian_invariants"]["rank"]
+        claims = [(f"free quotient of rank {rank}", "definition"), ("large", "definition")]
+    elif kind == P_LARGE_WITNESS:
+        claims = [("p-large", "definition"), ("large", "definition"), ("not torsion", "Cor 2.1")]
+    elif kind == POWER_QUOTIENT_LARGE:
+        r, k, q = (parameters[x] for x in ("rank", "num_powers", "exponent"))
+        quotient = f"quotient of a rank-{r} free group by {k} normal {q}-th powers is p-large"
+        claims = [(quotient, "Cor 2.5"), ("large", "Cor 2.5")]
+    else:  # Inconclusive, or a kind that verify rejects
+        claims = []
+    return [Conclusion(claim, by) for claim, by in claims]
+
+
+def _issue(kind: str, presentation: str | None, parameters: dict, witness: dict) -> Certificate:
+    """The certificate of this payload with its conclusions, self-verified."""
+    cert = Certificate(kind, presentation, parameters, witness, _conclusions(kind, parameters, witness))
     cert.verified = verify(cert)
-    if cert.kind != INCONCLUSIVE and not cert.verified:
-        raise AssertionError(f"issued {cert.kind} certificate failed self-verification")
+    if not cert.verified:
+        raise AssertionError(f"issued {kind} certificate failed self-verification")
     return cert
 
 
@@ -245,18 +277,6 @@ def _free_rank(H: Presentation, kill) -> int | None:
     return Q.n_generators if not Q.relators and Q.n_generators >= 2 else None
 
 
-def _inconclusive(presentation: str | None, parameters: dict, witness: dict | None = None) -> Certificate:
-    """A certificate that claims nothing, so it holds as issued."""
-    return Certificate(
-        kind=INCONCLUSIVE,
-        presentation=presentation,
-        parameters=parameters,
-        witness=witness or {},
-        conclusions=[],
-        verified=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # certifying operations
 
@@ -268,20 +288,8 @@ def certify_p_large_by_deficiency(P: Presentation, p: int) -> Certificate:
     text = print_presentation(P)
     witness = {"bound": str(report.value)}
     if report.value > 1:
-        cert = Certificate(
-            kind=P_LARGE_BY_DEFICIENCY,
-            presentation=text,
-            parameters={"p": p},
-            witness=witness,
-            conclusions=[
-                Conclusion("p-large", "Thm 1.2"),
-                Conclusion("large", "Thm 1.2"),
-                Conclusion("not torsion", "Cor 2.1"),
-                Conclusion("no property (T)", "Cor 2.2"),
-            ],
-        )
-        return _issue(cert)
-    return _inconclusive(text, {"p": p, "reason": "this presentation has p-deficiency <= 1"}, witness)
+        return _issue(P_LARGE_BY_DEFICIENCY, text, {"p": p}, witness)
+    return _issue(INCONCLUSIVE, text, {"p": p, "reason": "this presentation has p-deficiency <= 1"}, witness)
 
 
 def allcock_rank_bound(P: Presentation, rec: SubgroupRecord) -> Certificate:
@@ -300,64 +308,39 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord) -> Certificate:
     params = {"bound_formula": RANK_BOUND_FORMULA}
     bound, failing = _allcock_bound(P, T)
     if bound is None:
-        return _inconclusive(
-            text,
-            {
-                **params,
-                "reason": "hypothesis fails: a proper power of a relator root lies in the subgroup",
-                "failing_relator": failing,
-            },
-            {"index": N, "table": _table_payload(T)},
-        )
+        reason = "hypothesis fails: a proper power of a relator root lies in the subgroup"
+        params = {**params, "reason": reason, "failing_relator": failing}
+        return _issue(INCONCLUSIVE, text, params, {"index": N, "table": _table_payload(T)})
     inv = abelian_invariants(reidemeister_schreier(P, T))
     if inv.free_rank < math.ceil(bound):
         raise AssertionError("measured rank fell below the guaranteed bound")
-    cert = Certificate(
-        kind=ALLCOCK_BOUND,
-        presentation=text,
-        parameters=params,
-        witness={
-            "index": N,
-            "table": _table_payload(T),
-            "abelian_invariants": _inv_payload(inv),
-            "bound": str(bound),
-        },
-        conclusions=[
-            Conclusion(f"subgroup abelianization rank >= {bound}", "Thm 1.1"),
-        ],
-    )
-    return _issue(cert)
+    witness = {
+        "index": N,
+        "table": _table_payload(T),
+        "abelian_invariants": _inv_payload(inv),
+        "bound": str(bound),
+    }
+    return _issue(ALLCOCK_BOUND, text, params, witness)
 
 
 def find_z_surjection(P: Presentation, max_index: int) -> Certificate:
     """Search normal subgroups of index <= max_index, in canonical order,
     for one whose abelianization has positive free rank."""
     text = print_presentation(P)
+    params = {"max_index": max_index}
     examined = []
     for rec in low_index_normal(P, max_index):
         inv = abelian_invariants(reidemeister_schreier(P, rec.table))
         examined.append(rec.index)
         if inv.free_rank >= 1:
-            cert = Certificate(
-                kind=Z_SURJECTION_WITNESS,
-                presentation=text,
-                parameters={"max_index": max_index},
-                witness={
-                    "index": rec.index,
-                    "table": _table_payload(rec.table),
-                    "abelian_invariants": _inv_payload(inv),
-                },
-                conclusions=[Conclusion("no property (T)", "Cor 2.2")],
-            )
-            return _issue(cert)
-    return _inconclusive(
-        text,
-        {
-            "max_index": max_index,
-            "reason": "no normal subgroup in range surjects onto Z",
-            "examined_indices": examined,
-        },
-    )
+            witness = {
+                "index": rec.index,
+                "table": _table_payload(rec.table),
+                "abelian_invariants": _inv_payload(inv),
+            }
+            return _issue(Z_SURJECTION_WITNESS, text, params, witness)
+    reason = "no normal subgroup in range surjects onto Z"
+    return _issue(INCONCLUSIVE, text, {**params, "reason": reason, "examined_indices": examined}, {})
 
 
 def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
@@ -387,21 +370,10 @@ def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
                 continue
             rank = _free_rank(H, [Word((g,)) for g in subset])
             if rank is not None:
-                cert = Certificate(
-                    kind=FREE_QUOTIENT_WITNESS,
-                    presentation=text,
-                    parameters=params,
-                    witness={
-                        "kill_set": [H.generator_names[g - 1] for g in subset],
-                        "abelian_invariants": {"rank": rank, "torsion": []},
-                    },
-                    conclusions=[
-                        Conclusion(f"free quotient of rank {rank}", "definition"),
-                        Conclusion("large", "definition"),
-                    ],
-                )
-                return _issue(cert)
-    return _inconclusive(text, {**params, "reason": "no kill set in budget frees the presentation"})
+                kill_set = [H.generator_names[g - 1] for g in subset]
+                witness = {"kill_set": kill_set, "abelian_invariants": {"rank": rank, "torsion": []}}
+                return _issue(FREE_QUOTIENT_WITNESS, text, params, witness)
+    return _issue(INCONCLUSIVE, text, {**params, "reason": "no kill set in budget frees the presentation"}, {})
 
 
 def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int) -> Certificate:
@@ -418,26 +390,10 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
             continue
         sub = certify_free_quotient(subgroup_presentation(P, rec), kill_budget)
         if sub.kind == FREE_QUOTIENT_WITNESS:
-            cert = Certificate(
-                kind=P_LARGE_WITNESS,
-                presentation=text,
-                parameters=params,
-                witness={
-                    "index": rec.index,
-                    "table": _table_payload(rec.table),
-                    "kill_set": sub.witness["kill_set"],
-                    "abelian_invariants": sub.witness["abelian_invariants"],
-                },
-                conclusions=[
-                    Conclusion("p-large", "definition"),
-                    Conclusion("large", "definition"),
-                    Conclusion("not torsion", "Cor 2.1"),
-                ],
-            )
-            return _issue(cert)
-    return _inconclusive(
-        text, {**params, "reason": "no p-power-index normal subgroup in range yielded a free quotient"}
-    )
+            witness = {"index": rec.index, "table": _table_payload(rec.table), **sub.witness}
+            return _issue(P_LARGE_WITNESS, text, params, witness)
+    reason = "no p-power-index normal subgroup in range yielded a free quotient"
+    return _issue(INCONCLUSIVE, text, {**params, "reason": reason}, {})
 
 
 _TRIAL_LIMIT = 1000
@@ -503,21 +459,8 @@ def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:
     for p, lp in _prime_powers(q):
         if Fraction(p**lp) > Fraction(k, r - 1):
             bound = r - Fraction(k, p**lp)
-            cert = Certificate(
-                kind=POWER_QUOTIENT_LARGE,
-                presentation=None,
-                parameters={**params, "p": p},
-                witness={"bound": str(bound)},
-                conclusions=[
-                    Conclusion(
-                        f"quotient of a rank-{r} free group by {k} normal {q}-th powers is p-large",
-                        "Cor 2.5",
-                    ),
-                    Conclusion("large", "Cor 2.5"),
-                ],
-            )
-            return _issue(cert)
-    return _inconclusive(None, {**params, "reason": "no prime power in q beats k/(r-1)"})
+            return _issue(POWER_QUOTIENT_LARGE, None, {**params, "p": p}, {"bound": str(bound)})
+    return _issue(INCONCLUSIVE, None, {**params, "reason": "no prime power in q beats k/(r-1)"}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +485,11 @@ def _normal_record(P: Presentation, witness: dict) -> SubgroupRecord | None:
 
 
 def verify(c: Certificate) -> bool:
-    """Recompute every claim in the certificate from its payload alone."""
+    """Recompute every claim in the certificate from its payload alone; the
+    conclusions must be exactly those the payload determines."""
     try:
+        if c.conclusions != _conclusions(c.kind, c.parameters, c.witness):
+            return False
         if c.kind == INCONCLUSIVE:
             return True
         if c.kind == P_LARGE_BY_DEFICIENCY:

@@ -213,7 +213,7 @@ class _WordParser:
             warnings.warn(
                 f"line {self.line}: zero exponent yields the empty word",
                 PresentationWarning,
-                stacklevel=6,
+                stacklevel=4,  # the caller of parse_word or parse_presentation
             )
             return []
         self._check_length(len(letters) * abs(n), itok)
@@ -279,7 +279,7 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError("empty relator expression", line_no, len(line))
         word = reduce(parser.parse_word())
         if not word:
-            warnings.warn(f"line {line_no}: relator reduces to the empty word", PresentationWarning)
+            warnings.warn(f"line {line_no}: relator reduces to the empty word", PresentationWarning, stacklevel=2)
         relators.append(word)
     return Presentation(tuple(names), tuple(relators))
 

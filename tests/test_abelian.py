@@ -1,4 +1,9 @@
+import math
 import random
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdef import (
     IntegerMatrix,
@@ -58,6 +63,27 @@ def test_snf_transforms_on_random_matrices():
             for d in factors:
                 prod *= d
             assert prod == abs(det)
+
+
+@st.composite
+def small_matrices(draw):
+    """An m x n integer matrix, 1 <= m, n <= 5, entries in [-6, 6]."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_snf_products_are_gcds_of_minors(rows):
+    # d_1 * ... * d_k is the gcd of all k x k minors (0 when they all vanish)
+    m, n = len(rows), len(rows[0])
+    factors, _ = smith_normal_form(IntegerMatrix.from_rows(rows))
+    for k in range(1, min(m, n) + 1):
+        minors = 0
+        for r in combinations(range(m), k):
+            for c in combinations(range(n), k):
+                minors = math.gcd(minors, determinant([[rows[i][j] for j in c] for i in r]))
+        assert math.prod(factors[:k]) == minors
 
 
 def test_snf_invariant_under_permutation_and_sign():

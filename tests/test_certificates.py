@@ -29,6 +29,7 @@ from pdef import (
 )
 from pdef.certificates import (
     ALLCOCK_BOUND,
+    CITATIONS,
     FREE_QUOTIENT_WITNESS,
     INCONCLUSIVE,
     P_LARGE_BY_DEFICIENCY,
@@ -467,7 +468,7 @@ def test_mutation_fuzz(dinf, rank4_pres, triangle_power_pres):
 def _issued() -> tuple[dict, ...]:
     """One issued certificate of each kind, as JSON objects."""
     dinf, rank4, P = (parse_presentation(t) for t in (DINF_TEXT, RANK4_TEXT, P_TEXT))
-    rec = next(r for r in low_index_normal(dinf, 2) if r.index == 2)
+    rec = next(r for r in low_index_normal(dinf, 2) if allcock_rank_bound(dinf, r).kind == ALLCOCK_BOUND)
     certs = (
         certify_p_large_by_deficiency(parse_presentation("gens: x, y\nrel: x^2"), 2),
         allcock_rank_bound(dinf, rec),
@@ -478,6 +479,67 @@ def _issued() -> tuple[dict, ...]:
         find_z_surjection(parse_presentation("gens: x\nrel: x^2"), 4),
     )
     return tuple(to_json_dict(c) for c in certs)
+
+
+# the conclusions of _issued(), in order, pinned byte for byte
+_PINNED_CONCLUSIONS = (
+    [
+        {"claim": "p-large", "by": "Thm 1.2"},
+        {"claim": "large", "by": "Thm 1.2"},
+        {"claim": "not torsion", "by": "Cor 2.1"},
+        {"claim": "no property (T)", "by": "Cor 2.2"},
+    ],
+    [{"claim": "subgroup abelianization rank >= 1", "by": "Thm 1.1"}],
+    [{"claim": "no property (T)", "by": "Cor 2.2"}],
+    [{"claim": "free quotient of rank 2", "by": "definition"}, {"claim": "large", "by": "definition"}],
+    [
+        {"claim": "p-large", "by": "definition"},
+        {"claim": "large", "by": "definition"},
+        {"claim": "not torsion", "by": "Cor 2.1"},
+    ],
+    [
+        {"claim": "quotient of a rank-2 free group by 3 normal 8-th powers is p-large", "by": "Cor 2.5"},
+        {"claim": "large", "by": "Cor 2.5"},
+    ],
+    [],
+)
+
+
+def test_issued_conclusions_are_pinned():
+    issued = _issued()
+    assert [d["kind"] for d in issued] == [
+        P_LARGE_BY_DEFICIENCY,
+        ALLCOCK_BOUND,
+        Z_SURJECTION_WITNESS,
+        FREE_QUOTIENT_WITNESS,
+        P_LARGE_WITNESS,
+        POWER_QUOTIENT_LARGE,
+        INCONCLUSIVE,
+    ]
+    assert tuple(d["conclusions"] for d in issued) == _PINNED_CONCLUSIONS
+
+
+def test_dinf_z_surjection_cannot_claim_largeness():
+    # D_inf is virtually Z, so not large: its witness supports no such claim
+    d = copy.deepcopy(_issued()[2])
+    assert verify(from_json(json.dumps(d)))
+    d["conclusions"] = [{"claim": "p-large", "by": "Thm 1.2"}, {"claim": "large", "by": "definition"}]
+    assert not verify(from_json(json.dumps(d)))
+
+
+def test_inconclusive_claims_nothing():
+    d = {"kind": "Inconclusive", "conclusions": [], "parameters": {}, "witness": {}, "verified": True}
+    assert verify(from_json(json.dumps(d)))
+    d["conclusions"] = [{"claim": "large", "by": "Thm 1.2"}]
+    assert not verify(from_json(json.dumps(d)))
+
+
+def test_from_json_rejects_every_unreadable_text():
+    huge = json.dumps(_issued()[6]).replace('"max_index": 4', '"max_index": ' + "7" * 5000)
+    assert huge != json.dumps(_issued()[6])
+    for text in (huge, "[1," * 100000 + "]" * 100000, "not json", ""):
+        with pytest.raises(MalformedCertificate, match="not JSON"):
+            from_json(text)
 
 
 def _locations(node, path=()):
@@ -502,12 +564,36 @@ def _nested(text: str, depth: int) -> str:
     )
 
 
+def _mutate_conclusions(draw, conclusions: list) -> None:
+    """Add a well-formed conclusion, or drop one, retag its citation or edit
+    its claim."""
+    op = draw(st.sampled_from(["add", "drop", "retag", "edit"] if conclusions else ["add"]))
+    if op == "add":
+        pool = sorted({(c["claim"], c["by"]) for claims in _PINNED_CONCLUSIONS for c in claims})
+        claim, by = draw(st.sampled_from(pool))
+        conclusions.insert(draw(st.integers(0, len(conclusions))), {"claim": claim, "by": by})
+        return
+    i = draw(st.integers(0, len(conclusions) - 1))
+    if op == "drop":
+        del conclusions[i]
+    elif op == "retag":
+        conclusions[i]["by"] = draw(st.sampled_from([t for t in CITATIONS if t != conclusions[i]["by"]]))
+    else:
+        claim = conclusions[i]["claim"]
+        edits = [claim + " ", claim.replace("1", "2"), claim.replace("2", "3"), "large", "p-large", ""]
+        conclusions[i]["claim"] = draw(st.sampled_from([e for e in edits if e != claim]))
+
+
 @st.composite
 def mutated_certificates(draw):
     """(how, d): an issued certificate with a key deleted, a value retyped,
-    an int made huge or negative, or its relators nested 400 deep."""
+    an int made huge or negative, its relators nested 400 deep, or one
+    conclusion added, dropped, retagged or edited."""
     d = copy.deepcopy(draw(st.sampled_from(range(7)).map(lambda i: _issued()[i])))
-    how = draw(st.sampled_from(["delete", "retype", "int", "nest"]))
+    how = draw(st.sampled_from(["delete", "retype", "int", "nest", "conclusion"]))
+    if how == "conclusion":
+        _mutate_conclusions(draw, d["conclusions"])
+        return how, d
     if how == "nest":
         d["presentation"] = _nested(d.get("presentation", "gens: x\nrel: x^2\n"), 400)
         return how, d
@@ -540,3 +626,5 @@ def test_verify_fuzz(mutation):
     assert isinstance(result, bool)
     if how == "nest":
         assert result  # the same relators, only nested
+    if how == "conclusion":
+        assert not result  # a claim the payload does not determine

@@ -247,6 +247,16 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_rejects_an_inconclusive_that_claims(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        '{"kind": "Inconclusive", "conclusions": [{"claim": "large", "by": "Thm 1.2"}],'
+        ' "parameters": {}, "witness": {}, "verified": true}'
+    )
+    code, out, _ = run(capsys, "verify", str(cert))
+    assert code == 1 and out == "verified: false\n"
+
+
 def test_deterministic_bytes(p_file):
     cmd = [
         sys.executable, "-m", "pdef", "certify", "p-large", "-p", "3",

@@ -91,10 +91,15 @@ def test_parse_tolerates_bom_and_crlf():
 
 
 def test_parser_warnings():
-    with pytest.warns(PresentationWarning):
-        parse_presentation("gens: a\nrel: a^0")
-    with pytest.warns(PresentationWarning):
-        parse_presentation("gens: a\nrel: a*a^-1")
+    # each warning names the caller of the parser, not a line inside it
+    for parse in (
+        lambda: parse_presentation("gens: a\nrel: a^0"),
+        lambda: parse_word("a^0", ["a"]),
+        lambda: parse_presentation("gens: a\nrel: a*a^-1"),
+    ):
+        with pytest.warns(PresentationWarning) as caught:
+            parse()
+        assert all(w.filename == __file__ for w in caught)
 
 
 def test_print_parse_roundtrip():
