@@ -25,7 +25,7 @@ from .cosets import (
     table_from_rows,
     validate_table,
 )
-from .lowindex import SubgroupRecord, low_index_normal, subgroup_record
+from .lowindex import SubgroupRecord, _normal_by_index, subgroup_record
 from .presentations import (
     ParseError,
     Presentation,
@@ -144,8 +144,8 @@ def validate_certificate_dict(d: dict) -> None:
     for key in _REQUIRED_WITNESS[d["kind"]]:
         if key not in witness:
             raise MalformedCertificate(f"kind {d['kind']} requires witness.{key}")
-    if "table" in witness:
-        if not all(isinstance(row, list) and all(isinstance(x, int) for x in row) for row in witness["table"]):
+    if "table" in witness:  # type(x) is int: a JSON boolean is an int to isinstance
+        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in witness["table"]):
             raise MalformedCertificate("witness.table must be a list of integer rows")
     if "kill_set" in witness and not all(isinstance(s, str) for s in witness["kill_set"]):
         raise MalformedCertificate("witness.kill_set must be a list of names")
@@ -153,9 +153,9 @@ def validate_certificate_dict(d: dict) -> None:
         inv = witness["abelian_invariants"]
         if set(inv) != {"rank", "torsion"}:
             raise MalformedCertificate("abelian_invariants is {rank, torsion}")
-        if not isinstance(inv["rank"], int) or not isinstance(inv["torsion"], list):
+        if type(inv["rank"]) is not int or not isinstance(inv["torsion"], list):
             raise MalformedCertificate("abelian_invariants must hold integers")
-        if not all(isinstance(x, int) for x in inv["torsion"]):
+        if not all(type(x) is int for x in inv["torsion"]):
             raise MalformedCertificate("abelian_invariants must hold integers")
 
 
@@ -324,12 +324,12 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord) -> Certificate:
 
 
 def find_z_surjection(P: Presentation, max_index: int) -> Certificate:
-    """Search normal subgroups of index <= max_index, in canonical order,
-    for one whose abelianization has positive free rank."""
+    """The first normal subgroup of index <= max_index, in canonical order, whose abelianization
+    has positive free rank; searched index by index, to the bound or until no larger index exists."""
     text = print_presentation(P)
     params = {"max_index": max_index}
     examined = []
-    for rec in low_index_normal(P, max_index):
+    for rec in _normal_by_index(P, max_index):
         inv = abelian_invariants(reidemeister_schreier(P, rec.table))
         examined.append(rec.index)
         if inv.free_rank >= 1:
@@ -377,17 +377,15 @@ def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
 
 
 def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int) -> Certificate:
-    """Exhibit p-largeness directly: a normal subgroup of p-power index
-    with a free quotient of rank >= 2, searched in canonical order."""
+    """p-largeness exhibited: the first normal subgroup of index 1, p, p^2, ... <= max_index, in
+    canonical order, with a free quotient of rank >= 2; the search ends early once no larger index exists."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if kill_budget < 0:
         raise ValueError("kill_budget must be at least 0")
     text = print_presentation(P)
     params = {"p": p, "max_index": max_index, "kill_budget": kill_budget}
-    for rec in low_index_normal(P, max_index):
-        if _valuation(rec.index, p)[1] != 1:
-            continue
+    for rec in _normal_by_index(P, max_index, p):
         sub = certify_free_quotient(subgroup_presentation(P, rec), kill_budget)
         if sub.kind == FREE_QUOTIENT_WITNESS:
             witness = {"index": rec.index, "table": _table_payload(rec.table), **sub.witness}

@@ -22,6 +22,9 @@ classes), each appearing exactly once.
 Normality is decided on the table alone, by ``cosets.is_normal``, once
 per table; records carry no subgroup generators, which
 ``rewriting.schreier_generators`` builds from the table when needed.
+
+``_normal_by_index`` yields the normal subgroups one index at a time, so a
+certifying search stops at its first witness, or once no larger index exists.
 """
 
 from __future__ import annotations
@@ -60,9 +63,10 @@ def _rotations(P: Presentation, ncols: int) -> list[list[tuple[tuple[int, ...], 
     return rots
 
 
-def _complete_tables(P: Presentation, max_index: int) -> Iterator[CosetTable]:
+def _complete_tables(P: Presentation, max_index: int, capped: list[int] | None = None) -> Iterator[CosetTable]:
     """Every complete canonical table of index <= max_index, in search
-    order, each yielded as soon as it is found."""
+    order, each yielded as soon as it is found; capped[0], if given,
+    counts the branches cut for asking for coset max_index + 1."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     ncols = 2 * P.n_generators
@@ -123,6 +127,8 @@ def _complete_tables(P: Presentation, max_index: int) -> Iterator[CosetTable]:
             while beta <= n and tab[beta * ncols + inv]:
                 beta += 1
             if beta > n + 1 or beta > max_index:
+                if capped is not None and beta == n + 1:
+                    capped[0] += 1
                 frames.pop()
                 continue
             frame[4] = beta + 1
@@ -141,6 +147,22 @@ def _canonical_order(T: CosetTable):
     """(index, flattened table): rows have equal length, so comparing the
     rows tuple compares the flattened table."""
     return T.n_cosets, T.rows
+
+
+def _normal_by_index(P: Presentation, max_index: int, p: int | None = None) -> Iterator[SubgroupRecord]:
+    """low_index_normal(P, max_index), or its p-power indices, lazily: index
+    n is one search at bound n, its index-n tables sorted.  Stops after a
+    search that cut no branch, as no larger table exists."""
+    if max_index < 1:
+        raise ValueError("max_index must be at least 1")
+    n = 1
+    while n <= max_index:
+        capped = [0]
+        tables = [T for T in _complete_tables(P, n, capped) if T.n_cosets == n and is_normal(T)]
+        yield from (SubgroupRecord(T, n, True) for T in sorted(tables, key=_canonical_order))
+        if not capped[0]:
+            return
+        n = n * p if p else n + 1
 
 
 def low_index_subgroups(P: Presentation, max_index: int) -> list[SubgroupRecord]:

@@ -22,6 +22,8 @@ from pdef import (
     p_deficiency,
     parse_presentation,
     power_quotient_largeness,
+    print_presentation,
+    reidemeister_schreier,
     subgroup_presentation,
     subgroup_record,
     todd_coxeter,
@@ -37,11 +39,16 @@ from pdef.certificates import (
     POWER_QUOTIENT_LARGE,
     Z_SURJECTION_WITNESS,
     MalformedCertificate,
+    _inv_payload,
+    _issue,
+    _table_payload,
     from_json,
     to_json,
     to_json_dict,
     validate_certificate_dict,
 )
+from pdef.presentations import print_word
+from pdef.words import _valuation
 from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT
 from oracles import random_primitive_word
 
@@ -628,3 +635,113 @@ def test_verify_fuzz(mutation):
         assert result  # the same relators, only nested
     if how == "conclusion":
         assert not result  # a claim the payload does not determine
+
+
+# ---------------------------------------------------------------------------
+# the certifying searches stop at the first witness
+
+
+def _eager_find_z_surjection(P, max_index):
+    """The search over the whole sorted list of normal subgroups."""
+    text = print_presentation(P)
+    params = {"max_index": max_index}
+    examined = []
+    for rec in low_index_normal(P, max_index):
+        inv = abelian_invariants(reidemeister_schreier(P, rec.table))
+        examined.append(rec.index)
+        if inv.free_rank >= 1:
+            witness = {"index": rec.index, "table": _table_payload(rec.table), "abelian_invariants": _inv_payload(inv)}
+            return _issue(Z_SURJECTION_WITNESS, text, params, witness)
+    reason = "no normal subgroup in range surjects onto Z"
+    return _issue(INCONCLUSIVE, text, {**params, "reason": reason, "examined_indices": examined}, {})
+
+
+def _eager_p_large_witness(P, p, max_index, kill_budget):
+    """The search over the whole sorted list, skipping non-p-power indices."""
+    text = print_presentation(P)
+    params = {"p": p, "max_index": max_index, "kill_budget": kill_budget}
+    for rec in low_index_normal(P, max_index):
+        if _valuation(rec.index, p)[1] != 1:
+            continue
+        sub = certify_free_quotient(subgroup_presentation(P, rec), kill_budget)
+        if sub.kind == FREE_QUOTIENT_WITNESS:
+            witness = {"index": rec.index, "table": _table_payload(rec.table), **sub.witness}
+            return _issue(P_LARGE_WITNESS, text, params, witness)
+    reason = "no p-power-index normal subgroup in range yielded a free quotient"
+    return _issue(INCONCLUSIVE, text, {**params, "reason": reason}, {})
+
+
+def _assert_same_as_eager(P, max_index, primes=(2, 3)):
+    assert to_json(find_z_surjection(P, max_index)) == to_json(_eager_find_z_surjection(P, max_index))
+    for p in primes:
+        lazy = certify_p_large_witness(P, p, max_index, 2)
+        assert to_json(lazy) == to_json(_eager_p_large_witness(P, p, max_index, 2))
+
+
+def test_lazy_searches_match_the_eager_search_on_the_corpus(finite_corpus, dinf, triangle_power_pres, rank4_pres):
+    for P in finite_corpus:
+        for max_index in (1, 2, 5, 8):
+            _assert_same_as_eager(P, max_index)
+    for P, max_index in ((dinf, 4), (triangle_power_pres, 3), (rank4_pres, 3)):
+        _assert_same_as_eager(P, max_index)
+
+
+def test_lazy_searches_match_the_eager_search_on_benchmark_groups():
+    z2_z3 = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\n")
+    for max_index in (8, 10):
+        _assert_same_as_eager(z2_z3, max_index, primes=(2,))
+    for l, m, n in ((2, 3, 8), (3, 3, 4), (2, 4, 5)):
+        P = parse_presentation(f"gens: a, b\nrel: a^{l}\nrel: b^{m}\nrel: (a*b)^{n}\n")
+        lazy = find_z_surjection(P, 8)
+        assert lazy.kind == INCONCLUSIVE
+        assert to_json(lazy) == to_json(_eager_find_z_surjection(P, 8))
+
+
+def test_lazy_searches_match_the_eager_search_on_random_presentations():
+    rng = random.Random(71)
+    for _ in range(40):
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            root = print_word(random_primitive_word(rng, 2, rng.randint(1, 4)), ("a", "b"))
+            relators.append(f"rel: ({root})^{rng.randint(1, 4)}\n")
+        P = parse_presentation("gens: a, b\n" + "".join(relators))
+        _assert_same_as_eager(P, rng.randint(1, 5))
+
+
+def test_the_search_stops_when_no_larger_subgroup_exists():
+    # S3 has normal subgroups of index 1, 2 and 6 only; without the stop
+    # rule the search would run one pass per index up to max_index
+    P = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\nrel: (a*b)^2\n")
+    start = time.perf_counter()
+    cert = find_z_surjection(P, 100000)
+    assert time.perf_counter() - start < 1
+    assert cert.kind == INCONCLUSIVE and cert.parameters["examined_indices"] == [1, 2, 6]
+    assert certify_p_large_witness(P, 2, 100000, 2).kind == INCONCLUSIVE
+
+
+def test_a_witness_below_max_index_costs_nothing_above_it():
+    z3_z3_z3 = parse_presentation("gens: x, y, z\nrel: x^3\nrel: y^3\nrel: z^3\n")
+    start = time.perf_counter()
+    cert = certify_p_large_witness(z3_z3_z3, 3, 9, 3)
+    assert time.perf_counter() - start < 1
+    assert cert.kind == P_LARGE_WITNESS and cert.witness["index"] == 3 and verify(cert)
+
+    genus2 = parse_presentation("gens: a1, b1, a2, b2\nrel: [a1,b1]*[a2,b2]\n")
+    start = time.perf_counter()
+    cert = find_z_surjection(genus2, 5)
+    assert time.perf_counter() - start < 1
+    assert cert.kind == Z_SURJECTION_WITNESS and cert.witness["index"] == 1 and verify(cert)
+
+
+@pytest.mark.parametrize("where", ["rank", "torsion", "table"])
+def test_schema_rejects_a_boolean_for_an_integer(dinf, where):
+    d = to_json_dict(find_z_surjection(dinf, 2))
+    if where == "rank":
+        d["witness"]["abelian_invariants"]["rank"] = True
+    elif where == "torsion":
+        d["witness"]["abelian_invariants"]["torsion"] = [True]
+    else:
+        row = next(row for row in d["witness"]["table"] if 1 in row)
+        row[row.index(1)] = True
+    with pytest.raises(MalformedCertificate):
+        validate_certificate_dict(d)

@@ -236,6 +236,31 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [("certify", "z-surjection"), ("certify", "p-large", "-p", "3")])
+def test_max_index_below_one_is_a_usage_error(capsys, p_file, argv):
+    code, out, err = run(capsys, *argv, "--max-index", "0", p_file)
+    assert code == 2 and out == "" and err == "error: max_index must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [("rank", "abelian_invariants must hold integers"), ("table", "witness.table must be a list of integer rows")],
+)
+def test_verify_rejects_a_boolean_for_an_integer(capsys, tmp_path, dinf_file, where, message):
+    code, out, _ = run(capsys, "certify", "z-surjection", "--max-index", "2", "--json", dinf_file)
+    assert code == 0
+    cert = json.loads(out)
+    if where == "rank":
+        cert["witness"]["abelian_invariants"]["rank"] = True
+    else:
+        row = next(row for row in cert["witness"]["table"] if 1 in row)
+        row[row.index(1)] = True
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and message in err
+
+
 def test_verify_rejects_malformed_certificate(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "PLargeWitness", "wat": 1}')
