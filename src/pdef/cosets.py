@@ -22,6 +22,7 @@ processed first in, first out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .presentations import Presentation
 from .words import Word, cyclic_reduce
@@ -126,28 +127,38 @@ def power_survives(T: CosetTable, w: Word, r: int) -> bool:
 
 def is_normal(T: CosetTable) -> bool:
     """True when the subgroup at coset 1 is normal, decided on the table
-    alone: for each generator g the map 1 -> 1.g extends to a permutation
-    of the cosets commuting with the action.  Subgroup words are ignored.
+    alone by ``_normal_so_far``; subgroup words are ignored.  It is given
+    the generator columns only: they reach every coset of a finite
+    transitive table, and a map commuting with g commutes with g^-1."""
+    n = T.n_generators
+    return _normal_so_far(list(chain((0,) * 2 * n, *T.rows))[::2], n)
 
-    For each generator g, grow the map 1 -> 1.g along the action by one
-    breadth-first pass, requiring (x.c)^phi = (x^phi).c for every column
-    c.  The map is well defined exactly when H lies in Stab(1.g) = g^-1 H g,
-    which has the same index, so H = g^-1 H g; holding for every generator,
-    this is normality.  O(n N) per generator."""
-    rows = T.rows
-    for col in range(0, len(rows[0]), 2):
-        phi = [0] * (len(rows) + 1)
-        phi[1] = rows[0][col]
-        if phi[1] == 1:
-            continue  # g lies in H
+
+def _normal_so_far(tab: list[int], ncols: int) -> bool:
+    """False when no table of a normal subgroup extends the flat table
+    (0 = undefined); on a complete table, True exactly when H is normal.
+
+    For each defined coset beta = 1.c, grow the map 1 -> beta along the
+    defined entries by one breadth-first pass, requiring (x.d)^phi =
+    (x^phi).d wherever both sides are defined.  If H is normal, the map is
+    an automorphism of its complete table, so a clash rules out every
+    extension.  On a complete table the map is well defined exactly when
+    H lies in Stab(beta) = c^-1 H c, which has the same index, so
+    H = c^-1 H c; holding for every column, this is normality.  O(N ncols)
+    per beta."""
+    for beta in set(tab[ncols:2 * ncols]) - {0, 1}:
+        phi = [0] * (len(tab) // ncols)
+        phi[1] = beta
         queue = [1]
         for x in queue:
-            for u, v in zip(rows[x - 1], rows[phi[x] - 1]):
-                if not phi[u]:
-                    phi[u] = v
-                    queue.append(u)
-                elif phi[u] != v:
-                    return False
+            y = phi[x]
+            for u, v in zip(tab[x * ncols:(x + 1) * ncols], tab[y * ncols:(y + 1) * ncols]):
+                if u and v:
+                    if not phi[u]:
+                        phi[u] = v
+                        queue.append(u)
+                    elif phi[u] != v:
+                        return False
     return True
 
 

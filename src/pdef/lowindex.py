@@ -19,12 +19,18 @@ order, so every complete table the search emits is already in canonical
 BFS numbering; distinct tables are distinct subgroups (not conjugacy
 classes), each appearing exactly once.
 
-Normality is decided on the table alone, by ``cosets.is_normal``, once
-per table; records carry no subgroup generators, which
-``rewriting.schreier_generators`` builds from the table when needed.
+Normality is decided on the table alone.  ``low_index_subgroups`` asks
+``cosets.is_normal`` once per complete table.  The normal searches
+(``low_index_normal``, ``_normal_by_index``) instead run the same test,
+``cosets._normal_so_far``, on the partial table after every deduction and
+drop the branch when no normal table can extend it; every complete table
+they reach has passed it, so it is normal.  Records carry no subgroup
+generators, which ``rewriting.schreier_generators`` builds from the table
+when needed.
 
 ``_normal_by_index`` yields the normal subgroups one index at a time, so a
-certifying search stops at its first witness, or once no larger index exists.
+certifying search stops at its first witness, or once no normal subgroup of
+larger index exists.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cosets import CosetTable, _relator_cols, _scan, is_normal
+from .cosets import CosetTable, _normal_so_far, _relator_cols, _scan, is_normal
 from .presentations import Presentation
 
 
@@ -63,10 +69,13 @@ def _rotations(P: Presentation, ncols: int) -> list[list[tuple[tuple[int, ...], 
     return rots
 
 
-def _complete_tables(P: Presentation, max_index: int, capped: list[int] | None = None) -> Iterator[CosetTable]:
+def _complete_tables(
+    P: Presentation, max_index: int, capped: list[int] | None = None, normal: bool = False
+) -> Iterator[CosetTable]:
     """Every complete canonical table of index <= max_index, in search
-    order, each yielded as soon as it is found; capped[0], if given,
-    counts the branches cut for asking for coset max_index + 1."""
+    order, each yielded as soon as it is found; with normal, only those of
+    normal subgroups.  capped[0], if given, counts the branches cut for
+    asking for coset max_index + 1."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     ncols = 2 * P.n_generators
@@ -136,7 +145,7 @@ def _complete_tables(P: Presentation, max_index: int, capped: list[int] | None =
                 n = beta
                 if len(tab) == n * ncols:
                     tab.extend([0] * ncols)
-            if deduce(alpha, col, beta):
+            if deduce(alpha, col, beta) and (not normal or _normal_so_far(tab, ncols)):
                 pos = alpha * ncols + col
                 break
         else:
@@ -152,13 +161,14 @@ def _canonical_order(T: CosetTable):
 def _normal_by_index(P: Presentation, max_index: int, p: int | None = None) -> Iterator[SubgroupRecord]:
     """low_index_normal(P, max_index), or its p-power indices, lazily: index
     n is one search at bound n, its index-n tables sorted.  Stops after a
-    search that cut no branch, as no larger table exists."""
+    search that cut no branch: the prune never cuts a prefix of a normal
+    table, so no normal subgroup of larger index exists."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     n = 1
     while n <= max_index:
         capped = [0]
-        tables = [T for T in _complete_tables(P, n, capped) if T.n_cosets == n and is_normal(T)]
+        tables = [T for T in _complete_tables(P, n, capped, normal=True) if T.n_cosets == n]
         yield from (SubgroupRecord(T, n, True) for T in sorted(tables, key=_canonical_order))
         if not capped[0]:
             return
@@ -173,5 +183,5 @@ def low_index_subgroups(P: Presentation, max_index: int) -> list[SubgroupRecord]
 
 def low_index_normal(P: Presentation, max_index: int) -> list[SubgroupRecord]:
     """The normal subgroups among low_index_subgroups, same order."""
-    normal = (T for T in _complete_tables(P, max_index) if is_normal(T))
+    normal = _complete_tables(P, max_index, normal=True)
     return [SubgroupRecord(T, T.n_cosets, True) for T in sorted(normal, key=_canonical_order)]

@@ -1,7 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive (closure enumeration, cofactor
-expansion, exhaustive root search) and shares no code with the package.
+expansion, exhaustive root search) and shares no code with the package,
+apart from ``reference_low_index_normal``: the normal search as it ran
+before its prune, the full subgroup search filtered by ``is_normal``.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import warnings
 from itertools import combinations
 
-from pdef import Presentation, Word, quotient_by_words, reduce, word_power
+from pdef import Presentation, Word, is_normal, low_index_subgroups, quotient_by_words, reduce, word_power
 from pdef.cosets import canonicalize_rows
 from pdef.presentations import (
     MAX_WORD_LENGTH,
@@ -273,6 +275,12 @@ def brute_force_tables(n_generators, relators, max_index):
                 if rows is not None:
                     tables.add(rows)
     return tables
+
+
+def reference_low_index_normal(P: Presentation, max_index: int):
+    """The normal search without its prune: every subgroup of index <=
+    max_index, kept when its complete table is normal."""
+    return [rec for rec in low_index_subgroups(P, max_index) if is_normal(rec.table)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,22 @@ from pdef import (
     validate_table,
 )
 from pdef.cosets import canonicalize_rows, table_from_rows
+from pdef.lowindex import _normal_by_index
 from pdef.rewriting import schreier_generators
 from oracles import (
     all_subgroups,
     brute_force_tables,
     normal_by_conjugates,
     perm_closure,
+    reference_low_index_normal,
     table_from_permutations,
     word_permutation,
 )
+
+F2_TEXT = "gens: a, b\n"
+GENUS2_TEXT = "gens: a1, b1, a2, b2\nrel: [a1,b1]*[a2,b2]\n"
+Z3_Z3_Z3_TEXT = "gens: x, y, z\nrel: x^3\nrel: y^3\nrel: z^3\n"
+Z2_Z2_Z2_Z2_TEXT = "gens: a, b, c, d\nrel: a^2\nrel: b^2\nrel: c^2\nrel: d^2\n"
 
 
 def test_infinite_cyclic():
@@ -85,12 +92,18 @@ def test_every_table_valid_and_distinct(finite_corpus):
 
 
 def test_prime_index_normal_count_matches_abelianization(finite_corpus, dinf, triangle_power_pres):
-    for P in list(finite_corpus) + [dinf, triangle_power_pres]:
+    # index-p normal subgroups are the kernels of the surjections onto Z/p,
+    # (p^s - 1)/(p - 1) of them with s = dim H_1(G; F_p): F2 gives 3 and 4,
+    # genus 2 gives 15 at p = 2, Z3*Z3*Z3 13 at p = 3, Z2*Z2*Z2*Z2 15 at p = 2
+    extra = [F2_TEXT, GENUS2_TEXT, Z3_Z3_Z3_TEXT, Z2_Z2_Z2_Z2_TEXT]
+    for P in list(finite_corpus) + [dinf, triangle_power_pres] + [parse_presentation(t) for t in extra]:
         inv = abelian_invariants(P)
         for p in (2, 3):
             s = inv.free_rank + sum(1 for d in inv.torsion if d % p == 0)
             expected = (p**s - 1) // (p - 1)
             got = sum(1 for rec in low_index_normal(P, p) if rec.index == p)
+            assert got == expected, (P.generator_names, p, got, expected)
+            got = sum(1 for rec in _normal_by_index(P, p, p) if rec.index == p)
             assert got == expected, (P.generator_names, p, got, expected)
 
 
@@ -224,3 +237,80 @@ def test_todd_coxeter_rebuilds_brute_force_tables(relators):
     for rows in brute_force_tables(2, P.relators, 4):
         T = table_from_rows(2, rows)
         assert todd_coxeter(P, [w for _, w in schreier_generators(T)]).rows == rows
+
+
+# ---------------------------------------------------------------------------
+# the normal searches against the search without the normality prune
+
+
+def _is_power(n, p):
+    while p and n % p == 0:
+        n //= p
+    return not p or n == 1
+
+
+def _assert_normal_searches_match_reference(P, max_index):
+    ref = reference_low_index_normal(P, max_index)
+    assert low_index_normal(P, max_index) == ref
+    for p in (None, 2, 3):
+        assert list(_normal_by_index(P, max_index, p)) == [rec for rec in ref if _is_power(rec.index, p)], p
+
+
+def test_normal_searches_match_reference_on_the_corpus(finite_corpus, dinf, triangle_power_pres, rank4_pres):
+    for P in finite_corpus:
+        for max_index in (1, 4, 8):
+            _assert_normal_searches_match_reference(P, max_index)
+    for P, max_index in ((dinf, 8), (triangle_power_pres, 4), (rank4_pres, 3)):
+        _assert_normal_searches_match_reference(P, max_index)
+
+
+def test_normal_searches_match_reference_on_benchmark_groups():
+    triples = ((2, 3, 8), (3, 3, 4), (2, 4, 5))
+    triangles = [f"gens: a, b\nrel: a^{l}\nrel: b^{m}\nrel: (a*b)^{n}\n" for l, m, n in triples]
+    coxeter_2222 = "gens: x, y, z, w\nrel: x^2\nrel: y^2\nrel: z^2\nrel: w^2\nrel: (x*y)^2\nrel: (z*w)^2\n"
+    cases = [(F2_TEXT, 6), ("gens: a, b\nrel: a^2\nrel: b^3\n", 10), (GENUS2_TEXT, 4)]
+    cases += [(text, 8) for text in triangles]
+    # the p-power bounds of the p-large jobs
+    cases += [(Z3_Z3_Z3_TEXT, 3), (Z2_Z2_Z2_Z2_TEXT, 2), (coxeter_2222, 4)]
+    for text, max_index in cases:
+        _assert_normal_searches_match_reference(parse_presentation(text), max_index)
+
+
+@st.composite
+def _small_presentations(draw):
+    n = draw(st.integers(1, 3))
+    letters = [g for k in range(1, n + 1) for g in (k, -k)]
+    relators = draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=5).map(reduce), max_size=3))
+    return Presentation(tuple(f"x{k}" for k in range(n)), tuple(relators)), 4 if n == 3 else 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_presentations())
+def test_normal_searches_match_reference_on_random_presentations(case):
+    _assert_normal_searches_match_reference(*case)
+
+
+def test_genus2_normal_search_is_fast():
+    P = parse_presentation(GENUS2_TEXT)
+    start = time.perf_counter()
+    recs = low_index_normal(P, 5)
+    assert time.perf_counter() - start < 2
+    assert len(recs) == 367
+
+
+def test_z3_z3_z3_normal_search_is_fast():
+    P = parse_presentation(Z3_Z3_Z3_TEXT)
+    start = time.perf_counter()
+    recs = low_index_normal(P, 9)
+    assert time.perf_counter() - start < 1
+    assert Counter(rec.index for rec in recs) == {1: 1, 3: 13, 9: 13}
+
+
+def test_z2_z2_z2_z2_two_power_normal_search_is_fast():
+    # the search without the prune did not finish in 300 s
+    P = parse_presentation(Z2_Z2_Z2_Z2_TEXT)
+    start = time.perf_counter()
+    recs = list(_normal_by_index(P, 8, 2))
+    assert time.perf_counter() - start < 2
+    ref = [rec for rec in reference_low_index_normal(P, 4) if _is_power(rec.index, 2)]
+    assert [rec for rec in recs if rec.index <= 4] == ref
