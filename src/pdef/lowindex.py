@@ -3,7 +3,7 @@
 The search keeps one flat table in the layout of ``cosets`` (0 marks an
 undefined entry), an undo trail of the entries it wrote, and an explicit
 stack of branch points, so a branch costs the entries it defines and
-backtracking erases exactly those; no table is copied and nothing recurses.
+backtracking erases exactly those; nothing recurses.
 
 Each definition alpha.g = beta is a deduction.  It is checked with
 ``cosets._scan`` at alpha only, on the cyclic rotations of each relator and
@@ -15,22 +15,26 @@ defined, so each complete table is a transitive permutation action
 satisfying the relators.
 
 New cosets are only ever introduced at the first undefined entry in scan
-order, so every complete table the search emits is already in canonical
-BFS numbering; distinct tables are distinct subgroups (not conjugacy
-classes), each appearing exactly once.
+order, so every complete table is already in canonical BFS numbering;
+distinct tables are distinct subgroups (not conjugacy classes), each
+appearing exactly once.
+
+``_tables_by_index`` is the one search, one pass per index n.  Pass n
+fills entries with cosets 1..n only and parks each branch that asks for
+coset n + 1: a copy of its table and its first undefined entry, which pass
+n + 1 sets to the new coset before it goes on.  No branch is searched
+twice, and each pass yields the complete tables of index n, sorted.  A
+pass that parks nothing ends the search, since every table of larger index
+extends a parked branch.  A certifying search that stops at its first
+witness runs no pass beyond it.
 
 Normality is decided on the table alone.  ``low_index_subgroups`` asks
-``cosets.is_normal`` once per complete table.  The normal searches
-(``low_index_normal``, ``_normal_by_index``) instead run the same test,
-``cosets._normal_so_far``, on the partial table after every deduction and
-drop the branch when no normal table can extend it; every complete table
-they reach has passed it, so it is normal.  Records carry no subgroup
-generators, which ``rewriting.schreier_generators`` builds from the table
-when needed.
-
-``_normal_by_index`` yields the normal subgroups one index at a time, so a
-certifying search stops at its first witness, or once no normal subgroup of
-larger index exists.
+``cosets.is_normal`` once per complete table.  The normal searches instead
+run the same test, ``cosets._normal_so_far``, on the partial table after
+every deduction and drop the branch when no normal table can extend it;
+every complete table they reach has passed it, so it is normal.  Records
+carry no subgroup generators, which ``rewriting.schreier_generators``
+builds from the table when needed.
 """
 
 from __future__ import annotations
@@ -69,21 +73,17 @@ def _rotations(P: Presentation, ncols: int) -> list[list[tuple[tuple[int, ...], 
     return rots
 
 
-def _complete_tables(
-    P: Presentation, max_index: int, capped: list[int] | None = None, normal: bool = False
-) -> Iterator[CosetTable]:
-    """Every complete canonical table of index <= max_index, in search
-    order, each yielded as soon as it is found; with normal, only those of
-    normal subgroups.  capped[0], if given, counts the branches cut for
-    asking for coset max_index + 1."""
+def _tables_by_index(P: Presentation, max_index: int, normal: bool = False) -> Iterator[tuple[int, list[CosetTable]]]:
+    """(n, the complete canonical tables of index n sorted by rows) for
+    n = 1, 2, ..., max_index, one pass each; with normal, only tables of
+    normal subgroups.  Pass n resumes the branches pass n - 1 parked and
+    parks each that asks for coset n + 1; a pass that parks none is the last."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     ncols = 2 * P.n_generators
     rots = _rotations(P, ncols)
-    # rows are added as cosets first appear, so a huge max_index
-    # allocates nothing up front
-    tab = [0] * (2 * ncols)
-    trail: list[int] = []  # flat positions written since the root, in order
+    pad = [0] * ncols
+    trail: list[int] = []  # flat positions written in this branch, in order
 
     def deduce(alpha: int, col: int, beta: int) -> bool:
         """Define alpha.col = beta and every entry it forces; False on a
@@ -113,75 +113,69 @@ def _complete_tables(
             else:
                 return True
 
-    frames: list[list[int]] = []  # [trail length, cosets, alpha, column, next candidate]
-    n = 1
-    pos = ncols  # every entry before pos is defined
-    while True:
+    # parked: (table as a tuple, which the garbage collector stops tracking,
+    # so a large parked set costs it nothing; the entry the new coset fills)
+    parked = [((0,) * ncols, ncols)]
+    for n in range(1, max_index + 1):
         end = (n + 1) * ncols
-        while pos < end and tab[pos]:
-            pos += 1
-        if pos == end:
-            rows = tuple(tuple(tab[c * ncols:(c + 1) * ncols]) for c in range(1, n + 1))
-            yield CosetTable(P.n_generators, rows)
-        else:
-            alpha, col = divmod(pos, ncols)
-            frames.append([len(trail), n, alpha, col, 1])
-        while frames:
-            frame = frames[-1]
-            mark, n, alpha, col, beta = frame
-            for k in trail[mark:]:
-                tab[k] = 0
-            del trail[mark:]
-            inv = col ^ 1
-            while beta <= n and tab[beta * ncols + inv]:
-                beta += 1
-            if beta > n + 1 or beta > max_index:
-                if capped is not None and beta == n + 1:
-                    capped[0] += 1
-                frames.pop()
+        branches, parked = parked, []
+        rows = []
+        while branches:  # popped, so a resumed branch's table is freed with it
+            saved, pos = branches.pop()
+            tab = [*saved, *pad]
+            trail.clear()
+            if n > 1 and not (deduce(*divmod(pos, ncols), n) and (not normal or _normal_so_far(tab, ncols))):
                 continue
-            frame[4] = beta + 1
-            if beta > n:
-                n = beta
-                if len(tab) == n * ncols:
-                    tab.extend([0] * ncols)
-            if deduce(alpha, col, beta) and (not normal or _normal_so_far(tab, ncols)):
-                pos = alpha * ncols + col
-                break
-        else:
-            break
-
-
-def _canonical_order(T: CosetTable):
-    """(index, flattened table): rows have equal length, so comparing the
-    rows tuple compares the flattened table."""
-    return T.n_cosets, T.rows
+            frames: list[list[int]] = []  # [trail length, position, next candidate]
+            while True:
+                while pos < end and tab[pos]:
+                    pos += 1
+                if pos == end:
+                    rows.append(tuple(tuple(tab[c * ncols:(c + 1) * ncols]) for c in range(1, n + 1)))
+                else:
+                    frames.append([len(trail), pos, 1])
+                    if n < max_index:
+                        parked.append((tuple(tab), pos))
+                while frames:
+                    frame = frames[-1]
+                    mark, pos, beta = frame
+                    for k in trail[mark:]:
+                        tab[k] = 0
+                    del trail[mark:]
+                    alpha, col = divmod(pos, ncols)
+                    while beta <= n and tab[beta * ncols + (col ^ 1)]:
+                        beta += 1
+                    if beta > n:
+                        frames.pop()
+                        continue
+                    frame[2] = beta + 1
+                    if deduce(alpha, col, beta) and (not normal or _normal_so_far(tab, ncols)):
+                        break
+                else:
+                    break
+        yield n, [CosetTable(P.n_generators, r) for r in sorted(rows)]
+        if not parked:
+            return
 
 
 def _normal_by_index(P: Presentation, max_index: int, p: int | None = None) -> Iterator[SubgroupRecord]:
-    """low_index_normal(P, max_index), or its p-power indices, lazily: index
-    n is one search at bound n, its index-n tables sorted.  Stops after a
-    search that cut no branch: the prune never cuts a prefix of a normal
-    table, so no normal subgroup of larger index exists."""
-    if max_index < 1:
-        raise ValueError("max_index must be at least 1")
-    n = 1
-    while n <= max_index:
-        capped = [0]
-        tables = [T for T in _complete_tables(P, n, capped, normal=True) if T.n_cosets == n]
-        yield from (SubgroupRecord(T, n, True) for T in sorted(tables, key=_canonical_order))
-        if not capped[0]:
-            return
-        n = n * p if p else n + 1
+    """low_index_normal(P, max_index), or its p-power indices, lazily: a
+    caller that stops early runs only the passes up to its last index."""
+    powers = [1]
+    while p and powers[-1] * p <= max_index:
+        powers.append(powers[-1] * p)
+    # with p, no pass beyond the largest power of p that is <= max_index
+    for n, tables in _tables_by_index(P, min(max_index, powers[-1]) if p else max_index, normal=True):
+        if not p or n in powers:
+            yield from (SubgroupRecord(T, n, True) for T in tables)
 
 
 def low_index_subgroups(P: Presentation, max_index: int) -> list[SubgroupRecord]:
     """Every subgroup of index <= max_index (the whole group included),
     as canonical coset tables sorted by (index, flattened table)."""
-    return [subgroup_record(T) for T in sorted(_complete_tables(P, max_index), key=_canonical_order)]
+    return [subgroup_record(T) for _, tables in _tables_by_index(P, max_index) for T in tables]
 
 
 def low_index_normal(P: Presentation, max_index: int) -> list[SubgroupRecord]:
     """The normal subgroups among low_index_subgroups, same order."""
-    normal = _complete_tables(P, max_index, normal=True)
-    return [SubgroupRecord(T, T.n_cosets, True) for T in sorted(normal, key=_canonical_order)]
+    return list(_normal_by_index(P, max_index))

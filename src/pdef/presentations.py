@@ -289,9 +289,12 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def print_word(w: Word, generator_names) -> str:
-    """Render a word in the file grammar (runs collapsed into powers)."""
+    """Render a word in the file grammar (runs collapsed into powers).  The
+    empty word is g^0 for the first generator g, a ValueError without one."""
     if not w:
-        return f"{generator_names[0]}^0" if generator_names else ""
+        if not generator_names:
+            raise ValueError("the empty word cannot be written without a generator")
+        return f"{generator_names[0]}^0"
     parts = []
     i = 0
     ls = w.letters

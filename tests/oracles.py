@@ -279,7 +279,9 @@ def brute_force_tables(n_generators, relators, max_index):
 
 def reference_low_index_normal(P: Presentation, max_index: int):
     """The normal search without its prune: every subgroup of index <=
-    max_index, kept when its complete table is normal."""
+    max_index, kept when its complete table is normal.  It runs the same
+    search as the code under test, so it checks the prune only; the
+    normal tables of ``brute_force_tables`` check the search as well."""
     return [rec for rec in low_index_subgroups(P, max_index) if is_normal(rec.table)]
 
 

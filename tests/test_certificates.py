@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from pdef import (
     ParseError,
+    Presentation,
+    Word,
     abelian_invariants,
     allcock_rank_bound,
     certify_free_quotient,
@@ -75,6 +77,15 @@ def test_p_large_by_deficiency_threshold(triangle_power_pres):
     free2 = parse_presentation("gens: x, y")
     for p in (2, 3, 5):
         assert certify_p_large_by_deficiency(free2, p).kind == P_LARGE_BY_DEFICIENCY
+
+
+def test_certificate_text_without_generators_must_parse():
+    # the empty relator has no generator to be written with (g^0), so no
+    # certificate may store a presentation text that the parser rejects
+    with pytest.raises(ValueError):
+        certify_p_large_by_deficiency(Presentation((), (Word(()),)), 2)
+    trivial = certify_p_large_by_deficiency(Presentation((), ()), 2)
+    assert trivial.kind == INCONCLUSIVE and parse_presentation(trivial.presentation) == Presentation((), ())
 
 
 def test_allcock_examples(dinf):

@@ -7,6 +7,7 @@ from pdef import (
     IntegerMatrix,
     ParseError,
     Word,
+    low_index_normal,
     low_index_subgroups,
     parse_presentation,
     power_quotient_largeness,
@@ -14,6 +15,7 @@ from pdef import (
     validate_table,
 )
 from pdef.cosets import TableInvariantError
+from pdef.lowindex import _normal_by_index, _tables_by_index
 
 
 @pytest.mark.parametrize(
@@ -40,6 +42,12 @@ def test_enumeration_input_errors(dinf):
         todd_coxeter(dinf, [Word((3,))])
     with pytest.raises(ValueError):
         low_index_subgroups(dinf, 0)
+    with pytest.raises(ValueError):
+        low_index_normal(dinf, 0)
+    # the lazy searches raise when first consumed
+    for search in (_tables_by_index(dinf, 0), _normal_by_index(dinf, 0), _normal_by_index(dinf, 0, 2)):
+        with pytest.raises(ValueError):
+            next(search)
 
 
 def test_validator_rejects_corruption(dinf):

@@ -17,7 +17,7 @@ from pdef import (
     validate_table,
 )
 from pdef.cosets import canonicalize_rows, table_from_rows
-from pdef.lowindex import _normal_by_index
+from pdef.lowindex import _normal_by_index, _tables_by_index
 from pdef.rewriting import schreier_generators
 from oracles import (
     all_subgroups,
@@ -284,10 +284,59 @@ def _small_presentations(draw):
     return Presentation(tuple(f"x{k}" for k in range(n)), tuple(relators)), 4 if n == 3 else 5
 
 
+def _brute_force_normal(P, max_index):
+    """The canonical tables of the normal subgroups of index <= max_index,
+    in canonical order, from oracles alone: every transitive action kept
+    when each conjugate of each Schreier generator fixes coset 1."""
+    rng = random.Random(0)
+    tables = [table_from_rows(P.n_generators, rows) for rows in brute_force_tables(P.n_generators, P.relators, max_index)]
+    return sorted((T.rows for T in tables if normal_by_conjugates(T, rng)), key=lambda rows: (len(rows), rows))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_small_presentations())
 def test_normal_searches_match_reference_on_random_presentations(case):
     _assert_normal_searches_match_reference(*case)
+    # and against oracles that share no code with the search
+    P, max_index = case
+    expected = _brute_force_normal(P, max_index)
+    assert [rec.table.rows for rec in low_index_normal(P, max_index)] == expected
+    for p in (None, 2, 3):
+        got = [rec.table.rows for rec in _normal_by_index(P, max_index, p)]
+        assert got == [rows for rows in expected if _is_power(len(rows), p)], p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_presentations(), st.booleans())
+def test_tables_by_index_yields_each_index_once_in_order(case, normal):
+    P, max_index = case
+    batches = list(_tables_by_index(P, max_index, normal))
+    assert [n for n, _ in batches] == list(range(1, len(batches) + 1))
+    assert len(batches) <= max_index
+    for n, tables in batches:
+        assert all(T.n_cosets == n for T in tables)
+        assert [T.rows for T in tables] == sorted(T.rows for T in tables)
+
+
+def test_search_stops_once_no_larger_index_exists(s3_pres):
+    # S3 has no subgroup of index > 6: the pass at 6 parks no branch, so a
+    # bound of 100000 costs what a bound of 6 does
+    start = time.perf_counter()
+    assert [rec.index for rec in low_index_subgroups(s3_pres, 100000)] == [1, 2, 3, 3, 3, 6]
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert [rec.index for rec in low_index_normal(s3_pres, 100000)] == [1, 2, 6]
+    assert time.perf_counter() - start < 1
+
+
+def test_normal_search_runs_only_the_passes_read():
+    # Z has a normal subgroup of every index, so only laziness makes the
+    # first record of a search to 10**6 cheap
+    Z = parse_presentation("gens: a")
+    start = time.perf_counter()
+    rec = next(_normal_by_index(Z, 10**6))
+    assert time.perf_counter() - start < 1
+    assert rec.index == 1 and rec.table.rows == ((1, 1),)
 
 
 def test_genus2_normal_search_is_fast():

@@ -115,6 +115,12 @@ def test_print_parse_roundtrip():
     trivial = Presentation((), ())
     assert print_presentation(trivial) == "gens: \n"
     assert parse_presentation(print_presentation(trivial)) == trivial
+    # the empty relator prints as g^0, which needs a generator
+    P = Presentation(("x",), (Word(()),))
+    with pytest.warns(PresentationWarning):
+        assert parse_presentation(print_presentation(P)) == P
+    with pytest.raises(ValueError):
+        print_presentation(Presentation((), (Word(()),)))
 
 
 @st.composite
