@@ -66,110 +66,73 @@ def relator_matrix(P: Presentation) -> IntegerMatrix:
     return IntegerMatrix(tuple(tuple(row.get(c, 0) for c in cols) for row in _exponent_rows(P)))
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
     """Diagonalize M over the integers.
 
     Returns (factors, (U, V)) where factors is the full diagonal
     d1 | d2 | ... | dk >= 0 of length min(rows, cols), and U, V are
     unimodular with U*M*V = diag(factors).  The transform pair is None
-    unless requested.
+    unless requested: then M is bordered by an identity block on its
+    right, which the row operations turn into U, and one below it, which
+    the column operations turn into V.  Pivots and tests read M alone.
     """
     m, n = M.nrows, M.ncols
     A = [list(row) for row in M.entries]
-    U = _identity(m) if transforms else None
-    V = _identity(n) if transforms else None
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        Ad, As = A[dst], A[src]
-        for j in range(n):
-            Ad[j] += c * As[j]
-        if U is not None:
-            Ud, Us = U[dst], U[src]
-            for j in range(m):
-                Ud[j] += c * Us[j]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-
-    def smallest_pivot(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    k = min(m, n)
+    if transforms:
+        for i, row in enumerate(A):
+            row.extend(1 if j == i else 0 for j in range(m))
+        A.extend([1 if j == i else 0 for j in range(n)] for i in range(n))
+    t, k = 0, min(m, n)
     while t < k:
-        pos = smallest_pivot(t)
-        if pos is None:
+        best, size = None, 0  # the smallest nonzero entry left in M
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                if row[j] and (best is None or abs(row[j]) < size):
+                    best, size = (i, j), abs(row[j])
+        if best is None:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        if A[t][t] < 0:
-            negate_row(t)
-        # clear column and row; restart whenever a remainder shrinks the pivot
+        A[t], A[best[0]] = A[best[0]], A[t]
+        j = best[1]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
+        pivot = A[t]
+        if pivot[t] < 0:
+            A[t] = pivot = [-x for x in pivot]
+        d = pivot[t]
+        # clear column t, then row t; pivot again whenever a remainder is left
         dirty = False
-        for i in range(t + 1, m):
-            if A[i][t] != 0:
-                q = A[i][t] // A[t][t]
-                add_row(t, i, -q)
-                if A[i][t] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        for j in range(t + 1, n):
-            if A[t][j] != 0:
-                q = A[t][j] // A[t][t]
-                add_col(t, j, -q)
-                if A[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce the divisibility chain: drag a non-multiple into row t
-        culprit = None
-        for i in range(t + 1, m):
+        for row in A[t + 1 : m]:
+            if row[t]:
+                q = row[t] // d
+                for j in range(len(row)):
+                    row[j] -= q * pivot[j]
+                dirty = dirty or row[t] != 0
+        if not dirty:
             for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            add_row(culprit, t, 1)
+                if pivot[j]:
+                    q = pivot[j] // d
+                    for row in A:
+                        row[j] -= q * row[t]
+                    dirty = dirty or pivot[j] != 0
+        if dirty:
             continue
-        t += 1
+        # divisibility chain: add the first row with a non-multiple of d to row t
+        for row in A[t + 1 : m] if d > 1 else ():
+            for x in row[t + 1 : n]:
+                if x % d:
+                    break
+            else:
+                continue
+            for j in range(len(pivot)):
+                pivot[j] += row[j]
+            break
+        else:
+            t += 1
 
     factors = [A[i][i] for i in range(k)]
     if transforms:
-        return factors, (IntegerMatrix.from_rows(U), IntegerMatrix.from_rows(V))
+        return factors, (IntegerMatrix.from_rows(row[n:] for row in A[:m]), IntegerMatrix.from_rows(A[m:]))
     return factors, None
 
 

@@ -395,6 +395,7 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
 
 
 _TRIAL_LIMIT = 1000
+_TRIAL_STEPS = 10**6  # the last trial divisor; past it a cofactor >= psi_13 is an error
 
 
 def _pollard_rho(n: int) -> int:
@@ -429,7 +430,8 @@ def _prime_powers(q: int):
     is left is at least psi_13 (where is_prime is not exact); it stops at
     the square root of what is left, which is then prime.  A cofactor below
     psi_13 past the trial bound is split by Pollard's rho: its prime
-    factors all exceed the divisors tried."""
+    factors all exceed the divisors tried.  One still at least psi_13 past
+    _TRIAL_STEPS raises ValueError."""
     rest, p = q, 2
     while rest > 1:
         if p * p > rest:
@@ -439,6 +441,8 @@ def _prime_powers(q: int):
             for f in sorted(set(factors)):
                 yield f, factors.count(f)
             return
+        elif p > _TRIAL_STEPS:
+            raise ValueError(f"q has a cofactor >= {_MR_LIMIT} with no prime factor up to {_TRIAL_STEPS}")
         if rest % p == 0:
             lp, rest = _valuation(rest, p)
             yield p, lp

@@ -39,6 +39,10 @@ def test_snf_examples():
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 2]]))[0] == [2, 2]
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))[0] == [2, 4]
     assert smith_normal_form(IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))[0] == [0, 0]
+    # no columns: no factors, U the 2 x 2 identity, V empty
+    assert smith_normal_form(IntegerMatrix.from_rows([[], []])) == ([], None)
+    factors, (U, V) = smith_normal_form(IntegerMatrix.from_rows([[], []]), transforms=True)
+    assert factors == [] and U.entries == ((1, 0), (0, 1)) and V.entries == ()
 
 
 def test_snf_transforms_on_random_matrices():
@@ -84,6 +88,15 @@ def test_snf_products_are_gcds_of_minors(rows):
             for c in combinations(range(n), k):
                 minors = math.gcd(minors, determinant([[rows[i][j] for j in c] for i in r]))
         assert math.prod(factors[:k]) == minors
+    # the same factors with transforms, and U (m x m), V (n x n) unimodular
+    # with U*M*V = diag(factors) on every shape, m != n included
+    with_uv, (U, V) = smith_normal_form(IntegerMatrix.from_rows(rows), transforms=True)
+    assert with_uv == factors
+    U, V = [list(r) for r in U.entries], [list(r) for r in V.entries]
+    assert (len(U), len(U[0]), len(V), len(V[0])) == (m, m, n, n)
+    assert abs(determinant(U)) == 1 and abs(determinant(V)) == 1
+    D = matmul(matmul(U, rows), V)
+    assert D == [[factors[i] if i == j else 0 for j in range(n)] for i in range(m)]
 
 
 def test_snf_invariant_under_permutation_and_sign():

@@ -171,6 +171,25 @@ def test_two_large_prime_factors_are_bounded(capsys):
     assert code == 1 and "Inconclusive" in out
 
 
+# two primes whose product is past psi_13: trial division alone would take
+# about 2 * 10^12 steps
+PAST_PSI13 = 2000000000003 * 2000000001001
+
+
+def test_trial_division_past_psi13_is_capped(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "power-quotient", "2", str(10**13), str(PAST_PSI13))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and "no prime factor up to 1000000" in err
+
+
+def test_a_small_factor_answers_before_the_trial_cap(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "power-quotient", "2", "1", str(1009 * PAST_PSI13))
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "  p: 1009" in out and "verified: true" in out
+
+
 def test_hostile_words_are_reported_errors(capsys, tmp_path, monkeypatch):
     # 5000 nested parentheses are legal and parse to x: <x | x> is trivial
     f = tmp_path / "nested.grp"

@@ -71,6 +71,11 @@ def test_validator_rejects_corruption(dinf):
     with pytest.raises(TableInvariantError):
         validate_table(dinf, split)
 
+    # a short row read through another row's inverse entry
+    one = parse_presentation("gens: x\nrel: x^2")
+    with pytest.raises(TableInvariantError, match="row 2 has 1 entries"):
+        validate_table(one, CosetTable(1, ((2, 2), (1,))))
+
 
 def test_integer_matrix_shape():
     with pytest.raises(ValueError):
