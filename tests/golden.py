@@ -54,7 +54,7 @@ def run(argv, text):
 
 def is_certificate(case) -> bool:
     """True when the case's stdout is a certificate's JSON."""
-    return case["argv"][0] == "certify" and "--json" in case["argv"] and '"kind": "Exhausted"' not in case["stdout"]
+    return case["argv"][0] == "certify" and "--json" in case["argv"]
 
 
 def _calls():
