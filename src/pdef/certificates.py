@@ -431,7 +431,7 @@ def _prime_powers(q: int):
     the square root of what is left, which is then prime.  A cofactor below
     psi_13 past the trial bound is split by Pollard's rho: its prime
     factors all exceed the divisors tried.  One still at least psi_13 past
-    _TRIAL_STEPS raises ValueError."""
+    _TRIAL_STEPS raises ValueError.  After 2 only odd divisors are tried."""
     rest, p = q, 2
     while rest > 1:
         if p * p > rest:
@@ -446,7 +446,7 @@ def _prime_powers(q: int):
         if rest % p == 0:
             lp, rest = _valuation(rest, p)
             yield p, lp
-        p += 1
+        p += 1 if p == 2 else 2
 
 
 def power_quotient_largeness(r: int, k: int, q: int) -> Certificate:

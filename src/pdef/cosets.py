@@ -5,18 +5,19 @@ order with coset 1 the subgroup, and columns run g1, g1^-1, ..., gn, gn^-1.
 
 While enumerating, a table is one flat integer list: coset c's row is
 ``tab[c*ncols:(c+1)*ncols]`` and 0 marks an undefined entry.  ``_scan``
-walks a relator cycle through it from both ends; ``todd_coxeter`` and the
-low-index search (``lowindex``) both check relators with it.  An
-inconsistent closure is a coincidence for the first and a dead branch
-for the second.
+walks a relator rotation listed by ``_rotations`` through it from both
+ends; ``todd_coxeter`` and the low-index search (``lowindex``) both deduce
+with them.  An inconsistent closure is a coincidence for the first and a
+dead branch for the second.
 
-``todd_coxeter`` is HLT with lookahead, in a fixed order: the subgroup
-words at coset 1, then at each live coset every relator followed by a new
-coset for each entry still undefined.  When the coset bound is hit, a
-lookahead pass scans every relator at every live coset without defining,
-and the pass restarts if that freed any cosets.  Coincidences merge
-through a union-find forest keeping the smaller coset, the dead cosets
-processed first in, first out.
+``todd_coxeter`` is Felsch enumeration (Sims 1994, ch. 5): after filling
+the subgroup words at coset 1, it defines one coset at a time at the first
+gap, the lowest live coset's lowest undefined column.  Each entry written
+is a deduction, scanned on the rotations that begin with its column at its
+coset.  Coincidences merge through a union-find forest keeping the smaller
+coset, the dead cosets processed first in, first out.  An involution x (a
+relator x^2 or x^-2) has one column: x and x^-1 are written together and
+read alike, and x^2 is not scanned.
 """
 
 from __future__ import annotations
@@ -38,14 +39,35 @@ def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
 
-def _cols(w: Word) -> tuple[int, ...]:
-    return tuple(_col(ell) for ell in w.letters)
+def _cols(letters, involutions=frozenset()) -> tuple[int, ...]:
+    """The letters' columns as ``_col`` gives them, but with x^-1 read as x
+    for each involution x."""
+    return tuple([2 * x - 2 if x > 0 else -2 * x - 2 if -x in involutions else -2 * x - 1 for x in letters])
 
 
-def _relator_cols(P: Presentation) -> list[tuple[int, ...]]:
-    """The columns of each relator's cyclically reduced core, skipping
-    relators that reduce to the empty word."""
-    return [cols for cols in (_cols(cyclic_reduce(r)[1]) for r in P.relators) if cols]
+def _rotations(P: Presentation, ncols: int, involutions=frozenset()) -> list[list[tuple[tuple[int, ...], int, int]]]:
+    """Per column c, the distinct cyclic rotations of each relator and its
+    inverse that begin with c, as (doubled columns, first, last): the
+    rotation is doubled[first:last + 1].  A relator u^m has only len(u)
+    distinct rotations.  Letters are read by ``_cols``; the x^2 relator of
+    an involution is dropped, and so is an inverse that reads as a rotation
+    of its relator (in a free group, none does)."""
+    rots: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(ncols)]
+    for r in P.relators:
+        core = cyclic_reduce(r)[1].letters
+        if not core or (len(core) == 2 and core[0] == core[1] and abs(core[0]) in involutions):
+            continue
+        cols = _cols(core, involutions)
+        # as a string, the least period is where the word recurs in its square
+        text = "".join(map(chr, cols))
+        period = (text + text).find(text, 1)
+        inv = _cols([-ell for ell in reversed(core)], involutions)
+        words = (cols,) if "".join(map(chr, inv)) in text + text else (cols, inv)
+        for w in words:
+            doubled = w + w
+            for k in range(period):
+                rots[w[k]].append((doubled, k, k + len(w) - 1))
+    return rots
 
 
 def _scan(tab: list[int], ncols: int, f: int, b: int, word, i: int, j: int):
@@ -222,17 +244,12 @@ def table_from_rows(n_generators: int, rows) -> CosetTable:
     return CosetTable(n_generators, rows)
 
 
-class _Full(Exception):
-    pass
-
-
 def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_COSETS):
-    """Enumerate cosets of the subgroup generated by ``subgroup_words``.
-
-    Returns a complete canonical CosetTable, or Exhausted(max_cosets) when
-    the coset bound is hit even after lookahead collapsing.  Deterministic:
-    fixed scan order (subgroup words, then relators per coset in order).
-    """
+    """Enumerate cosets of the subgroup generated by ``subgroup_words``
+    (Felsch, see the module docstring).  Returns a complete canonical
+    CosetTable, or Exhausted(max_cosets) when a coset is needed while
+    max_cosets are live: every deduction is processed by then, so a
+    lookahead pass would free none."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     subgroup_words = tuple(subgroup_words)
@@ -241,11 +258,19 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
             raise ValueError("subgroup word uses an undeclared generator")
 
     ncols = 2 * P.n_generators
-    rel_cols = [(cols, len(cols) - 1) for cols in _relator_cols(P)]
-    sub_cols = [_cols(w) for w in subgroup_words]
+    cores = [cyclic_reduce(r)[1].letters for r in P.relators]
+    involutions = frozenset(abs(w[0]) for w in cores if len(w) == 2 and w[0] == w[1])
+    rots = _rotations(P, ncols, involutions)
+    sub_cols = [_cols(w.letters, involutions) for w in subgroup_words]
+    # an involution's two columns are mates, kept equal; any other column
+    # is its own mate.  A coincidence moves the first of two mates only
+    mate = [c ^ 1 if c // 2 + 1 in involutions else c for c in range(ncols)]
+    moved = [c for c in range(ncols) if mate[c] >= c]
+    pad = [0] * ncols
     tab = [0] * (2 * ncols)
     p = [0, 1]  # union-find parents; a merge keeps the smaller coset
     n_live = 1
+    todo: list[tuple[int, int]] = []  # deductions (coset, column) not yet scanned
 
     def rep(k: int) -> int:
         root = k
@@ -255,16 +280,22 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
             p[k], k = root, p[k]
         return root
 
-    def define(alpha: int, col: int) -> None:
+    def write(a: int, c: int, b: int) -> None:
+        d = mate[c]
+        tab[a * ncols + c] = tab[a * ncols + d] = b
+        tab[b * ncols + (c ^ 1)] = tab[b * ncols + (d ^ 1)] = a
+        todo.append((a, c))
+
+    def define(a: int, c: int) -> bool:
+        """a.c = a new coset; False when max_cosets are live."""
         nonlocal n_live
         if n_live >= max_cosets:
-            raise _Full
-        beta = len(p)
-        p.append(beta)
-        tab.extend([0] * ncols)
+            return False
+        p.append(len(p))
+        tab.extend(pad)
         n_live += 1
-        tab[alpha * ncols + col] = beta
-        tab[beta * ncols + (col ^ 1)] = alpha
+        write(a, c, len(p) - 1)
+        return True
 
     def merge(a: int, b: int, dead: list[int]) -> None:
         nonlocal n_live
@@ -279,77 +310,62 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
         dead: list[int] = []
         merge(a, b, dead)
         for gamma in dead:  # grows while it is walked: FIFO
-            for col in range(ncols):
-                delta = tab[gamma * ncols + col]
+            for c in moved:
+                delta = tab[gamma * ncols + c]
                 if not delta:
                     continue
-                inv = col ^ 1
-                tab[delta * ncols + inv] = 0
+                tab[delta * ncols + (c ^ 1)] = tab[delta * ncols + (mate[c] ^ 1)] = 0
                 mu, nu = rep(gamma), rep(delta)
-                if tab[mu * ncols + col]:
-                    merge(nu, tab[mu * ncols + col], dead)
-                elif tab[nu * ncols + inv]:
-                    merge(mu, tab[nu * ncols + inv], dead)
+                if tab[mu * ncols + c]:
+                    merge(nu, tab[mu * ncols + c], dead)
+                elif tab[nu * ncols + (c ^ 1)]:
+                    merge(mu, tab[nu * ncols + (c ^ 1)], dead)
                 else:
-                    tab[mu * ncols + col] = nu
-                    tab[nu * ncols + inv] = mu
+                    write(mu, c, nu)
 
-    def finish(f: int, i: int, b: int, j: int, cols: tuple[int, ...], fill: bool) -> None:
-        """Act on a scan of cols stopped at (f, i, b, j): record a
-        deduction, fill a longer gap with new cosets if asked, and process
-        an inconsistent closure as a coincidence."""
-        while i <= j:
+    def deduce() -> None:
+        """Scan every pending deduction, forcing entries and merging."""
+        while todo:
+            alpha, c = todo.pop()
+            if p[alpha] != alpha:
+                continue  # its entries moved, and were pushed again if new
+            for word, i, j in rots[c]:
+                f, i, b, j = _scan(tab, ncols, alpha, alpha, word, i, j)
+                if i == j:
+                    write(f, word[i], b)
+                elif i > j and f != b:
+                    coincidence(f, b)
+                    if p[alpha] != alpha:
+                        break
+
+    for cols in sub_cols:
+        f, i, b, j = _scan(tab, ncols, 1, 1, cols, 0, len(cols) - 1)
+        while i <= j:  # fill the gap, one entry at a time
             if i == j:
-                tab[f * ncols + cols[i]] = b
-                tab[b * ncols + (cols[i] ^ 1)] = f
-                return
-            if not fill:
-                return
-            define(f, cols[i])
-            f, i, b, j = _scan(tab, ncols, f, b, cols, i, j)
+                write(f, cols[i], b)
+            elif not define(f, cols[i]):
+                return Exhausted(max_cosets)
+            deduce()  # merges keep the scanned paths, ending at rep(f), rep(b)
+            f, i, b, j = _scan(tab, ncols, rep(f), rep(b), cols, i, j)
         if f != b:
             coincidence(f, b)
+            deduce()
 
-    def scan_relators(alpha: int, fill: bool) -> bool:
-        """Scan every relator at alpha; False once alpha has died."""
-        for cols, last in rel_cols:
-            f, i, b, j = _scan(tab, ncols, alpha, alpha, cols, 0, last)
-            if i <= j or f != b:
-                finish(f, i, b, j, cols, fill)
-                if p[alpha] != alpha:
-                    return False
-        return True
-
-    def run() -> bool:
-        """One HLT pass; False when a definition hit the bound."""
-        try:
-            for cols in sub_cols:
-                alpha = rep(1)
-                finish(*_scan(tab, ncols, alpha, alpha, cols, 0, len(cols) - 1), cols, True)
-            alpha = 1
-            while alpha < len(p):
-                if p[alpha] == alpha and scan_relators(alpha, True):
-                    for col in range(ncols):
-                        if not tab[alpha * ncols + col]:
-                            define(alpha, col)
-                alpha += 1
-            return True
-        except _Full:
-            return False
-
-    while not run():
-        before = n_live
-        # lookahead: scan everything without defining, harvesting collapses
-        for alpha in range(1, len(p)):
-            if p[alpha] == alpha:
-                scan_relators(alpha, False)
-        if n_live >= before:
+    # the first gap: live cosets before alpha, and alpha's columns before
+    # c, are full, and merges keep them full
+    alpha, c = 1, 0
+    while alpha < len(p):
+        if p[alpha] != alpha or c == ncols:
+            alpha, c = alpha + 1, 0
+        elif tab[alpha * ncols + c]:
+            c += 1
+        elif define(alpha, c):
+            deduce()
+        else:
             return Exhausted(max_cosets)
 
-    # resolve the union-find and renumber canonically; merges keep the
-    # smaller coset, so the subgroup coset 1 is still live
-    live = [c for c in range(1, len(p)) if p[c] == c]
-    index_of = {c: k for k, c in enumerate(live, start=1)}
-    raw = [tuple(index_of[rep(x)] for x in tab[c * ncols:(c + 1) * ncols]) for c in live]
+    # renumber from coset 1, which merges keep live: live rows point only
+    # at live cosets, so the dead rows (None) are never read
+    raw = [tab[c * ncols:(c + 1) * ncols] if p[c] == c else None for c in range(1, len(p))]
     rows = canonicalize_rows(P.n_generators, raw)
     return CosetTable(P.n_generators, rows, subgroup_words=subgroup_words)

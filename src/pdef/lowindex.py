@@ -7,7 +7,7 @@ backtracking erases exactly those; nothing recurses.
 
 Each definition alpha.g = beta is a deduction.  It is checked with
 ``cosets._scan`` at alpha only, on the cyclic rotations of each relator and
-of its inverse that begin with g (precomputed per column).  A scan that
+of its inverse that begin with g (``cosets._rotations``).  A scan that
 leaves one entry missing defines that entry and pushes it as a further
 deduction; a scan that closes inconsistently kills the branch.  Every
 relator cycle at every coset is scanned in full once its last entry is
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cosets import CosetTable, _normal_so_far, _relator_cols, _scan, is_normal
+from .cosets import CosetTable, _normal_so_far, _rotations, _scan, is_normal
 from .presentations import Presentation
 
 
@@ -56,21 +56,6 @@ class SubgroupRecord:
 def subgroup_record(T: CosetTable) -> SubgroupRecord:
     """The record of the subgroup at coset 1 of a complete transitive table."""
     return SubgroupRecord(T, T.n_cosets, is_normal(T))
-
-
-def _rotations(P: Presentation, ncols: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
-    """Per column c, the cyclic rotations of each relator and its inverse
-    that begin with c, as (doubled columns, first, last): the rotation is
-    doubled[first:last + 1].  A relator u^m has only len(u) distinct
-    rotations, so long powers cost no more than their root."""
-    rots: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(ncols)]
-    for cols in _relator_cols(P):
-        period = next(k for k in range(1, len(cols) + 1) if cols[k:] + cols[:k] == cols)
-        for w in (cols, tuple(c ^ 1 for c in reversed(cols))):
-            doubled = w + w
-            for k in range(period):
-                rots[w[k]].append((doubled, k, k + len(w) - 1))
-    return rots
 
 
 def _tables_by_index(P: Presentation, max_index: int, normal: bool = False) -> Iterator[tuple[int, list[CosetTable]]]:

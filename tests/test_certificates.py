@@ -42,6 +42,7 @@ from pdef.certificates import (
     Z_SURJECTION_WITNESS,
     MalformedCertificate,
     _inv_payload,
+    _prime_powers,
     _issue,
     _table_payload,
     from_json,
@@ -272,6 +273,27 @@ def test_power_quotient_largeness():
 
     with pytest.raises(ValueError):
         power_quotient_largeness(2, 1, 0)
+
+
+def _factor_by_every_divisor(q):
+    """(p, l_p) by trial division by every integer from 2 up."""
+    out, d = [], 2
+    while q > 1:
+        if q % d == 0:
+            out.append((d, _valuation(q, d)[0]))
+            q = _valuation(q, d)[1]
+        d += 1
+    return out
+
+
+def test_prime_powers_match_trial_division_by_every_divisor():
+    # odd steps after 2 skip no prime: q up to 3000, and powers of 2 alone,
+    # times 3, times the prime 1009 (left over past the square root) and
+    # times 9 * 1013^2 (a prime square past the trial bound: Pollard's rho)
+    qs = list(range(1, 3001))
+    qs += [2**k * m for k in range(1, 41) for m in (1, 3, 1009, 9 * 1013**2)]
+    for q in qs:
+        assert list(_prime_powers(q)) == _factor_by_every_divisor(q), q
 
 
 def test_huge_primes_are_bounded():

@@ -1,3 +1,4 @@
+from math import factorial
 
 from pdef import (
     CosetTable,
@@ -13,7 +14,7 @@ from pdef import (
     validate_table,
 )
 from pdef.cosets import canonicalize_rows, table_from_rows
-from oracles import perm_closure, quaternion_group, word_permutation
+from oracles import perm_closure, perm_compose, quaternion_group, table_from_permutations, word_permutation
 
 
 def _enumerate(P, words=(), **kw):
@@ -107,9 +108,10 @@ def test_exhaustion_is_a_result():
     assert out == Exhausted(25)
 
 
-def test_lookahead_recovers_space():
-    # plain HLT peaks above 1500 live cosets on this trivial group; the
-    # lookahead collapse lets a much tighter bound still complete
+def test_collapsing_trivial_group_completes_at_700_not_at_120():
+    # a trivial group whose enumeration defines hundreds of cosets before
+    # they collapse to one: the bound counts live cosets, and Felsch peaks
+    # at 588 of them here
     P = parse_presentation(
         "gens: r, s, t\nrel: t^-1*r*t*r^-2\nrel: r^-1*s*r*s^-2\nrel: s^-1*t*s*t^-2"
     )
@@ -121,9 +123,9 @@ def test_lookahead_recovers_space():
 
 
 def test_coset_bound_is_pinned(finite_corpus):
-    # HLT runs in a fixed order, so whether <a> is enumerated within m
-    # cosets is part of the output; these literals are the results of the
-    # list-of-rows enumerator this kernel replaced (None: Exhausted)
+    # the enumeration runs in a fixed order, so whether <a> is enumerated
+    # within m cosets is part of the output; these literals are the
+    # results of Felsch enumeration (None: Exhausted)
     grid = [
         [3, 3, 3, 3],
         [None, None, None, None],  # D-inf: <x1> has infinite index
@@ -134,7 +136,7 @@ def test_coset_bound_is_pinned(finite_corpus):
         [2, 2, 2, 2],
         [2, 2, 2, 2],
     ]
-    smallest = [4, None, 2, 1, 1, 3, 2, 2]  # least bound that completes
+    smallest = [3, None, 2, 1, 1, 3, 2, 2]  # least bound that completes
     for P, row, least in zip(finite_corpus, grid, smallest, strict=True):
         a = [Word((1,))]
         got = [todd_coxeter(P, a, max_cosets=m) for m in (5, 10, 20, 50)]
@@ -143,6 +145,68 @@ def test_coset_bound_is_pinned(finite_corpus):
             assert not isinstance(todd_coxeter(P, a, max_cosets=least), Exhausted)
             if least > 1:
                 assert isinstance(todd_coxeter(P, a, max_cosets=least - 1), Exhausted)
+
+
+def _coxeter_sn(n, inverted=False):
+    """The Coxeter presentation of S_n on n - 1 adjacent transpositions;
+    inverted writes every relator with inverse letters (s1^-1*s1^-1,
+    (s1^-1*s2^-1)^3)."""
+    s = [f"s{i}^-1" if inverted else f"s{i}" for i in range(1, n)]
+    rels = [f"{x}*{x}" if inverted else f"{x}^2" for x in s]
+    rels += [f"({s[i]}*{s[j]})^{3 if j == i + 1 else 2}" for i in range(n - 1) for j in range(i + 1, n - 1)]
+    gens = ", ".join(f"s{i}" for i in range(1, n))
+    return parse_presentation(f"gens: {gens}\n" + "".join(f"rel: {r}\n" for r in rels))
+
+
+def test_symmetric_coxeter_needs_exactly_its_order():
+    # with one column per involution, Felsch never holds more live cosets
+    # than |S_n| on the Coxeter presentation
+    for n in (4, 5, 6):
+        for inverted in (False, True):
+            P = _coxeter_sn(n, inverted)
+            T = todd_coxeter(P, [], max_cosets=factorial(n))
+            assert isinstance(T, CosetTable) and T.n_cosets == factorial(n)
+            validate_table(P, T)
+            assert todd_coxeter(P, [], max_cosets=factorial(n) - 1) == Exhausted(factorial(n) - 1)
+
+
+def test_triangle_commutator_7_has_order_1092():
+    # <a, b | a^2, b^3, (ab)^7, [a,b]^7> is PSL(2, 13)
+    P = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\nrel: (a*b)^7\nrel: [a,b]^7")
+    assert _enumerate(P).n_cosets == 1092
+
+
+def _coset_action_rows(gen_perms, sub_perms):
+    """Canonical table of the right action on the cosets Hg of
+    H = <sub_perms>, built from the permutations alone."""
+    H = perm_closure(sub_perms) or {tuple(range(len(gen_perms[0])))}
+    cosets = [frozenset(H)]
+    index = {cosets[0]: 0}
+    for coset in cosets:
+        for x in gen_perms:
+            image = frozenset(perm_compose(g, x) for g in coset)
+            if image not in index:
+                index[image] = len(cosets)
+                cosets.append(image)
+    action = [tuple(index[frozenset(perm_compose(g, x) for g in coset)] for coset in cosets) for x in gen_perms]
+    return table_from_permutations(len(gen_perms), action)
+
+
+def test_involution_column_with_inverse_letters():
+    # S4 on (0 1), (1 2), (2 3): a and b are involutions by relators
+    # written with inverse letters only, and subgroup words use inverses
+    gen_perms = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
+    P = parse_presentation(
+        "gens: a, b, c\nrel: a^-2\nrel: b^-1*b^-1\nrel: c^2\n"
+        "rel: (a*b)^3\nrel: (b^-1*c)^3\nrel: (a^-1*c^-1)^2\n"
+    )
+    cases = ["", "a^-1", "b^-1*a^-1*b", "a^-1*b^-1", "a^-1*c^-1", "b^-1*c^-1;a^-1", "c^-1*b^-1*a^-1"]
+    for text in cases:
+        words = [parse_word(w, P.generator_names) for w in text.split(";") if w]
+        T = _enumerate(P, words)
+        sub_perms = [word_permutation(w, gen_perms) for w in words]
+        assert T.n_cosets == 24 // max(1, len(perm_closure(sub_perms)))
+        assert T.rows == _coset_action_rows(gen_perms, sub_perms)
 
 
 def test_index_divides_group_order(finite_corpus):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pdef import (
     Presentation,
+    Word,
     abelian_invariants,
     is_normal,
     low_index_normal,
@@ -227,13 +228,17 @@ def test_search_matches_brute_force(relators):
     assert got == brute_force_tables(2, P.relators, 4)
 
 
+# x^2 or x^-2 makes x an involution, which todd_coxeter gives one column
+_involution_relators = st.lists(st.sampled_from([Word((1, 1)), Word((-1, -1)), Word((2, 2)), Word((-2, -2))]), max_size=2)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_relators)
-def test_todd_coxeter_rebuilds_brute_force_tables(relators):
-    # HLT checked against brute force, not against the low-index search:
-    # the Schreier generators of each transitive action of index <= 4
-    # enumerate back to that same canonical table
-    P = Presentation(("a", "b"), tuple(relators))
+@given(_relators, _involution_relators)
+def test_todd_coxeter_rebuilds_brute_force_tables(relators, involutions):
+    # Felsch enumeration checked against brute force, not against the
+    # low-index search: the Schreier generators of each transitive action
+    # of index <= 4 enumerate back to that same canonical table
+    P = Presentation(("a", "b"), tuple(relators + involutions))
     for rows in brute_force_tables(2, P.relators, 4):
         T = table_from_rows(2, rows)
         assert todd_coxeter(P, [w for _, w in schreier_generators(T)]).rows == rows
