@@ -106,7 +106,8 @@ _REQUIRED_WITNESS = {
 
 
 def validate_certificate_dict(d: dict) -> None:
-    """Schema check for a serialized certificate; unknown fields rejected."""
+    """Schema check for a serialized certificate: unknown fields are rejected,
+    and so is a witness field its kind does not carry (Inconclusive aside)."""
     if not isinstance(d, dict):
         raise MalformedCertificate("certificate must be a JSON object")
     allowed = {"kind", "presentation", "parameters", "witness", "conclusions", "verified"}
@@ -144,6 +145,9 @@ def validate_certificate_dict(d: dict) -> None:
     for key in _REQUIRED_WITNESS[d["kind"]]:
         if key not in witness:
             raise MalformedCertificate(f"kind {d['kind']} requires witness.{key}")
+    foreign = set(witness) - set(_REQUIRED_WITNESS[d["kind"]])
+    if foreign and d["kind"] != INCONCLUSIVE:
+        raise MalformedCertificate(f"kind {d['kind']} has no witness fields {sorted(foreign)}")
     if "table" in witness:  # type(x) is int: a JSON boolean is an int to isinstance
         if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in witness["table"]):
             raise MalformedCertificate("witness.table must be a list of integer rows")
@@ -520,7 +524,7 @@ def verify(c: Certificate) -> bool:
         if c.kind == Z_SURJECTION_WITNESS:
             P = parse_presentation(c.presentation)
             rec = _normal_record(P, c.witness)
-            if rec is None:
+            if rec is None or rec.index > c.parameters["max_index"]:
                 return False
             rank = _measured_rank(P, rec, c)
             return rank is not None and rank >= 1
@@ -531,7 +535,9 @@ def verify(c: Certificate) -> bool:
             P = parse_presentation(c.presentation)
             p = c.parameters["p"]
             rec = _normal_record(P, c.witness)
-            if rec is None or not is_prime(p) or _valuation(rec.index, p)[1] != 1:
+            if rec is None or rec.index > c.parameters["max_index"] or not is_prime(p):
+                return False
+            if _valuation(rec.index, p)[1] != 1:
                 return False
             return _check_free_quotient(subgroup_presentation(P, rec), c)
         raise MalformedCertificate(f"unknown kind {c.kind!r}")
@@ -543,7 +549,7 @@ def verify(c: Certificate) -> bool:
 
 def _check_free_quotient(H: Presentation, c: Certificate) -> bool:
     names = c.witness["kill_set"]
-    if any(name not in H.generator_names for name in names):
+    if len(names) > c.parameters["kill_budget"] or any(name not in H.generator_names for name in names):
         return False
     rank = _free_rank(H, [H.generator(name) for name in names])
     stored = c.witness["abelian_invariants"]

@@ -1,5 +1,8 @@
 """Reidemeister-Schreier: presentations of finite-index subgroups from
-coset tables, via a prefix-closed Schreier transversal."""
+coset tables.  One Schreier-label table carries it: label[c-1][col] is +i
+on the entry crossing the i-th nontrivial Schreier generator (scan order),
+-i on its inverse entry and 0 on tree edges, where reduce(rep_c g) equals
+rep_{c.g}, i.e. rep_c g rep_{c.g}^-1 reduces to the empty word."""
 
 from __future__ import annotations
 
@@ -30,20 +33,27 @@ def schreier_transversal(T: CosetTable) -> list[Word]:
     return reps  # complete tables are transitive, so no None survives
 
 
-def schreier_generators(T: CosetTable, reps=None) -> list[tuple[tuple[int, int], Word]]:
-    """Nontrivial Schreier generators rep_i * g * rep_{i.g}^-1, keyed by
-    (coset, generator) and listed in scan order.  Exactly
-    N*n - (N-1) of them for an index-N table over n generators."""
-    if reps is None:
-        reps = schreier_transversal(T)
-    out = []
-    for i in range(1, T.n_cosets + 1):
+def _labels(T: CosetTable, reps: list[Word]) -> tuple[list[list[int]], int]:
+    """The Schreier-label table for the reduced transversal reps, and the
+    number k of nontrivial Schreier generators: N*n - (N-1) of them."""
+    label = [[0] * (2 * T.n_generators) for _ in range(T.n_cosets)]
+    k = 0
+    for c in range(1, T.n_cosets + 1):
         for g in range(1, T.n_generators + 1):
-            j = T.rows[i - 1][_col(g)]
-            u = reduce(reps[i - 1].letters + (g,) + reps[j - 1].inverse().letters)
-            if u:
-                out.append(((i, g), u))
-    return out
+            d = T.rows[c - 1][_col(g)]
+            if reduce(reps[c - 1].letters + (g,)) != reps[d - 1]:
+                k += 1
+                label[c - 1][_col(g)], label[d - 1][_col(-g)] = k, -k
+    return label, k
+
+
+def schreier_generators(T: CosetTable) -> list[tuple[tuple[int, int], Word]]:
+    """Nontrivial Schreier generators rep_i * g * rep_{i.g}^-1 of the BFS
+    transversal, keyed by (coset, generator) and listed in scan order."""
+    reps = schreier_transversal(T)
+    label, _ = _labels(T, reps)
+    return [((i, g), reduce(reps[i - 1].letters + (g,) + reps[T.rows[i - 1][_col(g)] - 1].inverse().letters))
+            for i in range(1, T.n_cosets + 1) for g in range(1, T.n_generators + 1) if label[i - 1][_col(g)] > 0]
 
 
 def _subgroup_gen_names(count: int) -> tuple[str, ...]:
@@ -56,33 +66,20 @@ def reidemeister_schreier(P: Presentation, T: CosetTable, transversal=None) -> P
     """Rewrite P's relators through the coset table: the result presents the
     subgroup at coset 1, on the nontrivial Schreier generators, with one
     rewritten relator per (relator, coset) pair — N(n-1)+1 generators and
-    N*m relators, kept verbatim (no simplification here)."""
-    reps = transversal if transversal is not None else schreier_transversal(T)
-    gens = schreier_generators(T, reps)
-    index_of = {pair: k + 1 for k, (pair, _) in enumerate(gens)}
-    names = _subgroup_gen_names(len(gens))
-
-    def rewrite(relator: Word, start: int) -> Word:
-        out = []
-        c = start
-        for ell in relator.letters:
-            if ell > 0:
-                k = index_of.get((c, ell))
-                if k is not None:
-                    out.append(k)
-                c = T.rows[c - 1][_col(ell)]
-            else:
-                d = T.rows[c - 1][_col(ell)]
-                k = index_of.get((d, -ell))
-                if k is not None:
-                    out.append(-k)
-                c = d
-        return reduce(out)
-
-    new_relators = [
-        rewrite(r, i) for r in P.relators for i in range(1, T.n_cosets + 1)
-    ]
-    return Presentation(names, tuple(new_relators))
+    N*m relators, kept verbatim (no simplification here).  A transversal
+    given in place of the BFS one is a list of reduced words."""
+    label, k = _labels(T, transversal if transversal is not None else schreier_transversal(T))
+    relators = []
+    for r in P.relators:
+        cols = [_col(x) for x in r.letters]
+        for start in range(1, T.n_cosets + 1):
+            out, c = [], start
+            for col in cols:
+                if label[c - 1][col]:
+                    out.append(label[c - 1][col])
+                c = T.rows[c - 1][col]
+            relators.append(reduce(out))
+    return Presentation(_subgroup_gen_names(k), tuple(relators))
 
 
 def subgroup_presentation(P: Presentation, rec: "SubgroupRecord") -> Presentation:

@@ -234,6 +234,19 @@ def random_spanning_transversal(rng, table):
     return reps
 
 
+def schreier_words(table, reps):
+    """The nontrivial Schreier generators rep_i * g * rep_(i.g)^-1 of the
+    transversal reps, freely reduced, in scan order (coset, then generator)."""
+    words = []
+    for i in range(1, table.n_cosets + 1):
+        for g in range(1, table.n_generators + 1):
+            j = table.rows[i - 1][2 * (g - 1)]
+            s = reduce(reps[i - 1].letters + (g,) + tuple(-ell for ell in reversed(reps[j - 1].letters)))
+            if s.letters:
+                words.append(s)
+    return words
+
+
 def normal_by_conjugates(table, rng) -> bool:
     """Normality of the subgroup H at coset 1 by definition.  H is
     generated by the Schreier generators rep_i * g * rep_(i.g)^-1 of a

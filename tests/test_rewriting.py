@@ -1,10 +1,15 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pdef import (
+    Presentation,
     abelian_invariants,
     low_index_normal,
     low_index_subgroups,
     parse_word,
+    reduce,
     reidemeister_schreier,
     schreier_transversal,
     subgroup_presentation,
@@ -13,7 +18,8 @@ from pdef import (
     trace,
     word_power,
 )
-from oracles import random_spanning_transversal
+from pdef.rewriting import schreier_generators
+from oracles import random_spanning_transversal, schreier_words
 
 
 def test_dinf_transversal(dinf):
@@ -122,3 +128,50 @@ def test_rewritten_invariants_need_no_tietze(finite_corpus, dinf, triangle_power
         for rec in low_index_normal(P, max_index):
             raw = abelian_invariants(reidemeister_schreier(P, rec.table))
             assert raw == abelian_invariants(subgroup_presentation(P, rec))
+
+
+def _assert_rewrites_by_conjugation(P, T, reps, words):
+    # RS's defining property: at relator r and coset c, putting each
+    # generator's Schreier word back in gives rep_c * r * rep_c^-1
+    H = reidemeister_schreier(P, T, transversal=reps)
+    assert H.n_generators == len(words)
+    rewritten = iter(H.relators)
+    for r in P.relators:
+        for c in range(1, T.n_cosets + 1):
+            back = []
+            for k in next(rewritten).letters:
+                back += words[k - 1].letters if k > 0 else words[-k - 1].inverse().letters
+            rep = reps[c - 1]
+            assert reduce(back) == reduce(rep.letters + r.letters + rep.inverse().letters)
+
+
+def _assert_rewriting_property(P, T, rng, n_random):
+    reps = schreier_transversal(T)
+    words = [w for _, w in schreier_generators(T)]
+    assert words == schreier_words(T, reps)  # generator k is the k-th pair
+    _assert_rewrites_by_conjugation(P, T, reps, words)
+    for _ in range(n_random):
+        reps = random_spanning_transversal(rng, T)
+        _assert_rewrites_by_conjugation(P, T, reps, schreier_words(T, reps))
+
+
+def test_rewritten_relators_are_conjugated_relators(finite_corpus):
+    rng = random.Random(43)
+    for P in finite_corpus:
+        for rec in low_index_subgroups(P, 4):
+            _assert_rewriting_property(P, rec.table, rng, 3)
+
+
+@st.composite
+def _small_presentations(draw):
+    n = draw(st.integers(1, 2))
+    letters = [g for k in range(1, n + 1) for g in (k, -k)]
+    relators = draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=6).map(reduce), max_size=3))
+    return Presentation(tuple(f"x{k}" for k in range(n)), tuple(relators))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_presentations(), st.randoms(use_true_random=False))
+def test_rewriting_property_on_random_presentations(P, rng):
+    for rec in low_index_subgroups(P, 4):
+        _assert_rewriting_property(P, rec.table, rng, 1)
