@@ -74,7 +74,8 @@ def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
     unimodular with U*M*V = diag(factors).  The transform pair is None
     unless requested: then M is bordered by an identity block on its
     right, which the row operations turn into U, and one below it, which
-    the column operations turn into V.  Pivots and tests read M alone.
+    the column operations turn into V.  Pivots and tests read M alone; the
+    divisibility chain is mended once M is diagonal, not after each pivot.
     """
     m, n = M.nrows, M.ncols
     A = [list(row) for row in M.entries]
@@ -83,7 +84,7 @@ def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
             row.extend(1 if j == i else 0 for j in range(m))
         A.extend([1 if j == i else 0 for j in range(n)] for i in range(n))
     t, k = 0, min(m, n)
-    while t < k:
+    while True:
         best, size = None, 0  # the smallest nonzero entry left in M
         for i in range(t, m):
             row = A[i]
@@ -91,7 +92,14 @@ def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
                 if row[j] and (best is None or abs(row[j]) < size):
                     best, size = (i, j), abs(row[j])
         if best is None:
-            break
+            # M is diagonal: add row i + 1 to row i at the first break in
+            # d1 | d2 | ..., and eliminate again from i, until none is left
+            i = next((i for i in range(t - 1) if A[i + 1][i + 1] % A[i][i]), None)
+            if i is None:
+                break
+            A[i] = [x + y for x, y in zip(A[i], A[i + 1])]
+            t = i
+            continue
         A[t], A[best[0]] = A[best[0]], A[t]
         j = best[1]
         for row in A:
@@ -115,19 +123,7 @@ def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
                     for row in A:
                         row[j] -= q * row[t]
                     dirty = dirty or pivot[j] != 0
-        if dirty:
-            continue
-        # divisibility chain: add the first row with a non-multiple of d to row t
-        for row in A[t + 1 : m] if d > 1 else ():
-            for x in row[t + 1 : n]:
-                if x % d:
-                    break
-            else:
-                continue
-            for j in range(len(pivot)):
-                pivot[j] += row[j]
-            break
-        else:
+        if not dirty:
             t += 1
 
     factors = [A[i][i] for i in range(k)]

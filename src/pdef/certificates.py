@@ -94,20 +94,24 @@ _WITNESS_FIELDS = {
     "bound": str,
 }
 
-_REQUIRED_WITNESS = {
-    P_LARGE_BY_DEFICIENCY: ("bound",),
-    ALLCOCK_BOUND: ("index", "table", "abelian_invariants", "bound"),
-    Z_SURJECTION_WITNESS: ("index", "table", "abelian_invariants"),
-    FREE_QUOTIENT_WITNESS: ("kill_set", "abelian_invariants"),
-    P_LARGE_WITNESS: ("index", "table", "kill_set", "abelian_invariants"),
-    POWER_QUOTIENT_LARGE: ("bound",),
-    INCONCLUSIVE: (),
+# the exact witness fields of each kind; an Inconclusive carries what the
+# target that issued it writes, under (INCONCLUSIVE, target)
+_WITNESS_KEYS = {
+    P_LARGE_BY_DEFICIENCY: {"bound"},
+    ALLCOCK_BOUND: {"index", "table", "abelian_invariants", "bound"},
+    Z_SURJECTION_WITNESS: {"index", "table", "abelian_invariants"},
+    FREE_QUOTIENT_WITNESS: {"kill_set", "abelian_invariants"},
+    P_LARGE_WITNESS: {"index", "table", "kill_set", "abelian_invariants"},
+    POWER_QUOTIENT_LARGE: {"bound"},
+    (INCONCLUSIVE, "p-large-def"): {"bound"},
+    (INCONCLUSIVE, "allcock"): {"index", "table"},
+    (INCONCLUSIVE, None): set(),
 }
 
 
 def validate_certificate_dict(d: dict) -> None:
     """Schema check for a serialized certificate: unknown fields are rejected,
-    and so is a witness field its kind does not carry (Inconclusive aside)."""
+    and the witness carries exactly the fields of its kind."""
     if not isinstance(d, dict):
         raise MalformedCertificate("certificate must be a JSON object")
     allowed = {"kind", "presentation", "parameters", "witness", "conclusions", "verified"}
@@ -142,12 +146,12 @@ def validate_certificate_dict(d: dict) -> None:
             raise MalformedCertificate(f"unknown witness field {key!r}")
         if not isinstance(value, _WITNESS_FIELDS[key]) or isinstance(value, bool):
             raise MalformedCertificate(f"witness field {key!r} has the wrong type")
-    for key in _REQUIRED_WITNESS[d["kind"]]:
-        if key not in witness:
-            raise MalformedCertificate(f"kind {d['kind']} requires witness.{key}")
-    foreign = set(witness) - set(_REQUIRED_WITNESS[d["kind"]])
-    if foreign and d["kind"] != INCONCLUSIVE:
-        raise MalformedCertificate(f"kind {d['kind']} has no witness fields {sorted(foreign)}")
+    shape, params = d["kind"], d["parameters"]
+    if shape == INCONCLUSIVE:  # the target that gave up, told by its parameters
+        by_def = "p" in params and "max_index" not in params
+        shape = (shape, "allcock" if "bound_formula" in params else "p-large-def" if by_def else None)
+    if set(witness) != _WITNESS_KEYS[shape]:
+        raise MalformedCertificate(f"kind {d['kind']} carries the witness fields {sorted(_WITNESS_KEYS[shape])}")
     if "table" in witness:  # type(x) is int: a JSON boolean is an int to isinstance
         if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in witness["table"]):
             raise MalformedCertificate("witness.table must be a list of integer rows")
@@ -316,8 +320,6 @@ def allcock_rank_bound(P: Presentation, rec: SubgroupRecord) -> Certificate:
         params = {**params, "reason": reason, "failing_relator": failing}
         return _issue(INCONCLUSIVE, text, params, {"index": N, "table": _table_payload(T)})
     inv = abelian_invariants(reidemeister_schreier(P, T))
-    if inv.free_rank < math.ceil(bound):
-        raise AssertionError("measured rank fell below the guaranteed bound")
     witness = {
         "index": N,
         "table": _table_payload(T),

@@ -51,19 +51,6 @@ def _subgroup_words(P: Presentation, arg: str | None):
     return [parse_word(part, P.generator_names) for part in arg.split(";") if part.strip()]
 
 
-def _enumerate(P: Presentation, args):
-    words = _subgroup_words(P, args.subgroup_gens)
-    return todd_coxeter(P, words, args.max_cosets)
-
-
-def _print_exhausted(bound: int, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps({"kind": "Exhausted", "max_cosets": bound, "reason": "coset bound exceeded"}, sort_keys=True))
-    else:
-        print(f"coset bound exceeded: more than {bound} cosets required or collapse not found")
-    return 1
-
-
 def _emit_certificate(cert: certs.Certificate, as_json: bool) -> int:
     if as_json:
         sys.stdout.write(certs.to_json(cert))
@@ -123,12 +110,23 @@ def _cmd_lowindex(args) -> int:
     return 0
 
 
-def _cmd_rewrite(args) -> int:
+def _cmd_cosets(args) -> int:
+    # args.emit(P, table, args) prints what the subcommand makes of the
+    # complete table and gives the exit code; it is set as a parser default
     P = _read_presentation(args.presentation)
-    result = _enumerate(P, args)
-    if isinstance(result, Exhausted):
-        return _print_exhausted(result.max_cosets, args.json)
-    sys.stdout.write(print_presentation(reidemeister_schreier(P, result)))
+    T = todd_coxeter(P, _subgroup_words(P, args.subgroup_gens), args.max_cosets)
+    if not isinstance(T, Exhausted):
+        return args.emit(P, T, args)
+    if args.json:
+        report = {"kind": "Exhausted", "max_cosets": T.max_cosets, "reason": "coset bound exceeded"}
+        print(json.dumps(report, sort_keys=True))
+    else:
+        print(f"coset bound exceeded: more than {T.max_cosets} cosets required or collapse not found")
+    return 1
+
+
+def _write(text: str) -> int:
+    sys.stdout.write(text)
     return 0
 
 
@@ -144,26 +142,9 @@ def _cmd_simplify(args) -> int:
     return 0
 
 
-def _cmd_dump_table(args) -> int:
-    P = _read_presentation(args.presentation)
-    result = _enumerate(P, args)
-    if isinstance(result, Exhausted):
-        return _print_exhausted(result.max_cosets, args.json)
-    sys.stdout.write(result.dump())
-    return 0
-
-
 def _cmd_certify(args) -> int:
     # args.issue is the target's certifying call, set as a parser default
     return _emit_certificate(args.issue(_read_presentation(args.presentation), args), args.json)
-
-
-def _cmd_certify_allcock(args) -> int:
-    P = _read_presentation(args.presentation)
-    result = _enumerate(P, args)
-    if isinstance(result, Exhausted):
-        return _print_exhausted(result.max_cosets, args.json)
-    return _emit_certificate(certs.allcock_rank_bound(P, subgroup_record(result)), args.json)
 
 
 def _cmd_certify_power_quotient(args) -> int:
@@ -210,10 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     add(sub, "def", _cmd_def, "-p", help="p-deficiency report")
     add(sub, "deficiency", _cmd_deficiency, help="generators minus relators")
     add(sub, "lowindex", _cmd_lowindex, "--normal", "--max-index", "--json", help="subgroups of index <= N")
-    add(sub, "rewrite", _cmd_rewrite, *_COSET_OPTIONS, help="subgroup presentation via rewriting")
+    add(sub, "rewrite", _cmd_cosets, *_COSET_OPTIONS, help="subgroup presentation via rewriting").set_defaults(
+        emit=lambda P, T, a: _write(print_presentation(reidemeister_schreier(P, T)))
+    )
     add(sub, "abelianize", _cmd_abelianize, help="abelian invariants")
     add(sub, "simplify", _cmd_simplify, help="Tietze-simplify a presentation")
-    add(sub, "dump-table", _cmd_dump_table, *_COSET_OPTIONS, help="coset table for a subgroup")
+    add(sub, "dump-table", _cmd_cosets, *_COSET_OPTIONS, help="coset table for a subgroup").set_defaults(
+        emit=lambda P, T, a: _write(T.dump())
+    )
 
     what = sub.add_parser("certify", help="issue a certificate").add_subparsers(dest="what", required=True)
     add(what, "p-large-def", _cmd_certify, "-p", "--json").set_defaults(
@@ -228,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     add(what, "free-quotient", _cmd_certify, "--kill-budget", "--json").set_defaults(
         issue=lambda P, a: certs.certify_free_quotient(P, a.kill_budget)
     )
-    add(what, "allcock", _cmd_certify_allcock, "--subgroup-gens", "--max-cosets", "--json")
+    add(what, "allcock", _cmd_cosets, *_COSET_OPTIONS).set_defaults(
+        emit=lambda P, T, a: _emit_certificate(certs.allcock_rank_bound(P, subgroup_record(T)), a.json)
+    )
     wp = what.add_parser("power-quotient")
     wp.add_argument("rank", type=int)
     wp.add_argument("count", type=int)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .presentations import Presentation
-from .words import Word, cyclic_reduce
+from .words import Word, _period, cyclic_reduce
 
 DEFAULT_MAX_COSETS = 100000
 
@@ -58,15 +58,13 @@ def _rotations(P: Presentation, ncols: int, involutions=frozenset()) -> list[lis
         if not core or (len(core) == 2 and core[0] == core[1] and abs(core[0]) in involutions):
             continue
         cols = _cols(core, involutions)
-        # as a string, the least period is where the word recurs in its square
-        text = "".join(map(chr, cols))
-        period = (text + text).find(text, 1)
+        period, n = _period(cols), len(cols)
         inv = _cols([-ell for ell in reversed(core)], involutions)
-        words = (cols,) if "".join(map(chr, inv)) in text + text else (cols, inv)
+        words = (cols,) if any(cols[k:] + cols[:k] == inv for k in range(period)) else (cols, inv)
         for w in words:
             doubled = w + w
             for k in range(period):
-                rots[w[k]].append((doubled, k, k + len(w) - 1))
+                rots[w[k]].append((doubled, k, k + n - 1))
     return rots
 
 

@@ -143,34 +143,21 @@ def word_power(w: Word, n: int) -> Word:
     return reduce(conj.letters + core.letters * n + conj.inverse().letters)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _period(letters: tuple[int, ...]) -> int:
+    """The least p > 0 with letters rotated by p equal to letters: a
+    nonempty word is its block of the first p letters, repeated."""
+    n = len(letters)
+    return next(p for p in range(1, n + 1) if n % p == 0 and letters[p:] + letters[:p] == letters)
 
 
 def primitive_root(w: Word) -> RootDecomposition:
-    """Decompose w as conjugator * root^m * conjugator^-1 with m maximal.
-
-    A cyclically reduced word of length n equal to a proper power repeats
-    a block whose length divides n, so only divisor-length prefixes of the
-    cyclic core need testing.
-    """
+    """Decompose w as conjugator * root^m * conjugator^-1 with m maximal:
+    the root is the cyclic core's least period block."""
     if not w:
         return RootDecomposition(EPSILON, 0, EPSILON)
     conj, core = cyclic_reduce(w)
-    n = len(core)
-    for d in _divisors(n):
-        block = core.letters[:d]
-        if block * (n // d) == core.letters:
-            return RootDecomposition(Word(block), n // d, conj)
-    raise AssertionError("unreachable: d = n always matches")
+    p = _period(core.letters)
+    return RootDecomposition(Word(core.letters[:p]), len(core) // p, conj)
 
 
 def nu_p(w: Word, p: int):

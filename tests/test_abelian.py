@@ -43,6 +43,18 @@ def test_snf_examples():
     assert smith_normal_form(IntegerMatrix.from_rows([[], []])) == ([], None)
     factors, (U, V) = smith_normal_form(IntegerMatrix.from_rows([[], []]), transforms=True)
     assert factors == [] and U.entries == ((1, 0), (0, 1)) and V.entries == ()
+    # diagonal already, but off the divisibility chain: the chain is mended
+    for rows, expected in (
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[4, 0], [0, 6]], [2, 12]),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+    ):
+        factors, (U, V) = smith_normal_form(IntegerMatrix.from_rows(rows), transforms=True)
+        assert factors == expected
+        U, V = [list(r) for r in U.entries], [list(r) for r in V.entries]
+        assert abs(determinant(U)) == 1 and abs(determinant(V)) == 1
+        n = len(rows)
+        assert matmul(matmul(U, rows), V) == [[expected[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_snf_transforms_on_random_matrices():
