@@ -11,7 +11,9 @@ the corpus was written.  The cases are
   ``tietze_budget`` parameter, now checked by ``pdef verify``;
 - ``lowindex`` (text, ``--json``, ``--normal``), ``abelianize``,
   ``simplify``, ``dump-table`` and ``rewrite`` on the presentations of
-  ``tests/conftest.py``, and a few text-mode certificates.
+  ``tests/conftest.py``, and a few text-mode certificates;
+- ``dump-table`` on (2,3,7;7) and the Coxeter presentation of S5, each
+  written with inverse letters.
 
 ``tests/test_golden.py`` replays every case.  A change that alters these
 bytes on purpose rewrites the file with
@@ -57,6 +59,19 @@ def is_certificate(case) -> bool:
     return case["argv"][0] == "certify" and "--json" in case["argv"]
 
 
+# finite groups written with inverse letters: b -> b^-1 in (2,3,7;7), of
+# order 1092, and s2 -> s2^-1 in the Coxeter presentation of S5, whose
+# involution s2 then has the relator s2^-2
+_INVERSE_LETTER_TABLES = {
+    "237_7/inverse-b": "gens: a, b\nrel: a^2\nrel: b^-3\nrel: (a*b^-1)^7\nrel: [a,b^-1]^7\n",
+    "s5_coxeter/inverse-s2": (
+        "gens: s1, s2, s3, s4\nrel: s1^2\nrel: s2^-2\nrel: s3^2\nrel: s4^2\n"
+        "rel: (s1*s2^-1)^3\nrel: (s2^-1*s3)^3\nrel: (s3*s4)^3\n"
+        "rel: (s1*s3)^2\nrel: (s1*s4)^2\nrel: (s2^-1*s4)^2\n"
+    ),
+}
+
+
 def _calls():
     """(name, argv, input) for every case, in manifest order."""
     sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
@@ -85,6 +100,8 @@ def _calls():
     for gens in ("x1*x2", "(x1*x2)^4"):
         yield f"dump-table/DINF/{gens}", ["dump-table", "--subgroup-gens", gens, "{input}"], DINF_TEXT
         yield f"rewrite/DINF/{gens}", ["rewrite", "--subgroup-gens", gens, "{input}"], DINF_TEXT
+    for name, text in _INVERSE_LETTER_TABLES.items():
+        yield f"dump-table/{name}", ["dump-table", "{input}"], text
     yield "dump-table/P/exhausted", ["dump-table", "--max-cosets", "50", "{input}"], P_TEXT
     yield "rewrite/P/exhausted-json", ["rewrite", "--max-cosets", "50", "--json", "{input}"], P_TEXT
     yield "certify-text/p-large/P", ["certify", "p-large", "-p", "3", "{input}"], P_TEXT
