@@ -83,48 +83,51 @@ def smith_normal_form(M: IntegerMatrix, transforms: bool = False):
         for i, row in enumerate(A):
             row.extend(1 if j == i else 0 for j in range(m))
         A.extend([1 if j == i else 0 for j in range(n)] for i in range(n))
-    t, k = 0, min(m, n)
-    while True:
-        best, size = None, 0  # the smallest nonzero entry left in M
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                if row[j] and (best is None or abs(row[j]) < size):
-                    best, size = (i, j), abs(row[j])
-        if best is None:
-            # M is diagonal: add row i + 1 to row i at the first break in
-            # d1 | d2 | ..., and eliminate again from i, until none is left
-            i = next((i for i in range(t - 1) if A[i + 1][i + 1] % A[i][i]), None)
-            if i is None:
-                break
-            A[i] = [x + y for x, y in zip(A[i], A[i + 1])]
-            t = i
-            continue
-        A[t], A[best[0]] = A[best[0]], A[t]
-        j = best[1]
-        for row in A:
-            row[t], row[j] = row[j], row[t]
-        pivot = A[t]
-        if pivot[t] < 0:
-            A[t] = pivot = [-x for x in pivot]
-        d = pivot[t]
-        # clear column t, then row t; pivot again whenever a remainder is left
-        dirty = False
-        for row in A[t + 1 : m]:
-            if row[t]:
-                q = row[t] // d
-                for j in range(len(row)):
-                    row[j] -= q * pivot[j]
-                dirty = dirty or row[t] != 0
-        if not dirty:
-            for j in range(t + 1, n):
-                if pivot[j]:
-                    q = pivot[j] // d
-                    for row in A:
-                        row[j] -= q * row[t]
-                    dirty = dirty or pivot[j] != 0
-        if not dirty:
-            t += 1
+
+    def eliminate(t: int, top: int, right: int) -> int:
+        """Diagonalize M's block at rows t..top - 1, columns t..right - 1 (the
+        rest of those rows and columns is 0); returns t + the block's rank."""
+        while True:
+            best, size = None, 0  # the smallest nonzero entry left in the block
+            for i in range(t, top):
+                row = A[i]
+                for j in range(t, right):
+                    if row[j] and (best is None or abs(row[j]) < size):
+                        best, size = (i, j), abs(row[j])
+            if best is None:
+                return t
+            A[t], A[best[0]] = A[best[0]], A[t]
+            j = best[1]
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+            pivot = A[t]
+            if pivot[t] < 0:
+                A[t] = pivot = [-x for x in pivot]
+            d = pivot[t]
+            # clear column t, then row t; pivot again whenever a remainder is left
+            dirty = False
+            for row in A[t + 1 : top]:
+                if row[t]:
+                    q = row[t] // d
+                    for j in range(len(row)):
+                        row[j] -= q * pivot[j]
+                    dirty = dirty or row[t] != 0
+            if not dirty:
+                for j in range(t + 1, right):
+                    if pivot[j]:
+                        q = pivot[j] // d
+                        for row in A:
+                            row[j] -= q * row[t]
+                        dirty = dirty or pivot[j] != 0
+            if not dirty:
+                t += 1
+
+    rank, k = eliminate(0, m, n), min(m, n)
+    # M is diagonal: at the first break in d1 | d2 | ..., add row i + 1 to row
+    # i and diagonalize the 2 x 2 block it changes; each repair lowers d_i
+    while (i := next((i for i in range(rank - 1) if A[i + 1][i + 1] % A[i][i]), None)) is not None:
+        A[i] = [x + y for x, y in zip(A[i], A[i + 1])]
+        eliminate(i, i + 2, i + 2)
 
     factors = [A[i][i] for i in range(k)]
     if transforms:

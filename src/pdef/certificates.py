@@ -494,7 +494,9 @@ def _normal_record(P: Presentation, witness: dict) -> SubgroupRecord | None:
 
 def verify(c: Certificate) -> bool:
     """Recompute every claim in the certificate from its payload alone; the
-    conclusions must be exactly those the payload determines."""
+    conclusions must be exactly those the payload determines.  The shape is
+    checked first, as ``from_json`` checks it."""
+    validate_certificate_dict(to_json_dict(c))
     try:
         if c.conclusions != _conclusions(c.kind, c.parameters, c.witness):
             return False

@@ -3,12 +3,12 @@
 Tables are canonical: cosets are numbered 1..N in breadth-first discovery
 order with coset 1 the subgroup, and columns run g1, g1^-1, ..., gn, gn^-1.
 
-While enumerating, a table is one flat integer list: coset c's row is
-``tab[c*ncols:(c+1)*ncols]`` and 0 marks an undefined entry.  ``_scan``
-walks a relator rotation listed by ``_rotations`` through it from both
-ends; ``todd_coxeter`` and the low-index search (``lowindex``) both deduce
-with them.  An inconsistent closure is a coincidence for the first and a
-dead branch for the second.
+While enumerating, a table is one list per column, indexed by coset (index
+0 unused, 0 = undefined).  ``_scan`` walks a relator rotation of
+``_rotations``, which carries its letters' column lists, through them from
+both ends; ``todd_coxeter`` and the low-index search (``lowindex``) both
+deduce with them.  An inconsistent closure is a coincidence for the first
+and a dead branch for the second.
 
 ``todd_coxeter`` is Felsch enumeration (Sims 1994, ch. 5): after filling
 the subgroup words at coset 1, it defines one coset at a time at the first
@@ -16,14 +16,13 @@ gap, the lowest live coset's lowest undefined column.  Each entry written
 is a deduction, scanned on the rotations that begin with its column at its
 coset.  Coincidences merge through a union-find forest keeping the smaller
 coset, the dead cosets processed first in, first out.  An involution x (a
-relator x^2 or x^-2) has one column: x and x^-1 are written together and
-read alike, and x^2 is not scanned.
+relator x^2 or x^-2) has one column list, shared by x and x^-1, so one
+write defines both, and x^2 is not scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .presentations import Presentation
 from .words import Word, _period, cyclic_reduce
@@ -45,38 +44,53 @@ def _cols(letters, involutions=frozenset()) -> tuple[int, ...]:
     return tuple([2 * x - 2 if x > 0 else -2 * x - 2 if -x in involutions else -2 * x - 1 for x in letters])
 
 
-def _rotations(P: Presentation, ncols: int, involutions=frozenset()) -> list[list[tuple[tuple[int, ...], int, int]]]:
+def _columns(n_generators: int, involutions=frozenset()) -> list[list[int]]:
+    """Coset 1 alone: a list [0, 0] per column, one for both of an involution's."""
+    cols = [[0, 0] for _ in range(2 * n_generators)]
+    return [cols[c - 1] if c & 1 and c // 2 + 1 in involutions else col for c, col in enumerate(cols)]
+
+
+def _rows(cols: list[list[int]], p) -> list[tuple[int, ...] | None]:
+    """Rows 1..len(p) - 1 of a table held as column lists, None for each coset
+    c a merge killed (p[c] != c), so that zip reuses the dead row's tuple."""
+    rows = zip(*cols) if cols else [()] * len(p)
+    return [row if p[c] == c else None for c, row in enumerate(rows)][1:]
+
+
+def _rotations(P: Presentation, cols: list[list[int]], involutions=frozenset()):
     """Per column c, the distinct cyclic rotations of each relator and its
-    inverse that begin with c, as (doubled columns, first, last): the
-    rotation is doubled[first:last + 1].  A relator u^m has only len(u)
-    distinct rotations.  Letters are read by ``_cols``; the x^2 relator of
-    an involution is dropped, and so is an inverse that reads as a rotation
-    of its relator (in a free group, none does)."""
-    rots: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(ncols)]
+    inverse that begin with c, as (lists, inverse lists, doubled columns,
+    first, last) for ``_scan``: the rotation is doubled[first:last + 1],
+    and lists[k] is the column list of doubled[k].  A relator u^m has only
+    len(u) distinct rotations.  Letters are read by ``_cols``; the x^2
+    relator of an involution is dropped, and so is an inverse that reads
+    as a rotation of its relator (in a free group, none does)."""
+    rots = [[] for _ in cols]
     for r in P.relators:
         core = cyclic_reduce(r)[1].letters
         if not core or (len(core) == 2 and core[0] == core[1] and abs(core[0]) in involutions):
             continue
-        cols = _cols(core, involutions)
-        period, n = _period(cols), len(cols)
+        word = _cols(core, involutions)
+        period, n = _period(word), len(word)
         inv = _cols([-ell for ell in reversed(core)], involutions)
-        words = (cols,) if any(cols[k:] + cols[:k] == inv for k in range(period)) else (cols, inv)
+        words = (word,) if any(word[k:] + word[:k] == inv for k in range(period)) else (word, inv)
         for w in words:
             doubled = w + w
+            fw, bw = tuple([cols[c] for c in doubled]), tuple([cols[c ^ 1] for c in doubled])
             for k in range(period):
-                rots[w[k]].append((doubled, k, k + n - 1))
+                rots[w[k]].append((fw, bw, doubled, k, k + n - 1))
     return rots
 
 
-def _scan(tab: list[int], ncols: int, f: int, b: int, word, i: int, j: int):
-    """Scan word[i..j] forward from coset f, then backward from coset b,
-    through the defined entries of the flat table; returns (f, i, b, j).
+def _scan(fw, bw, f: int, b: int, i: int, j: int):
+    """Scan a word forward from coset f through its column lists fw[i..j],
+    then backward from b through their inverses bw[j..i]; returns (f, i, b, j).
 
     i > j: the cycle closed, consistently exactly when f == b.
     i == j: one entry is missing, and f.word[i] = b is forced.
     i < j: the gap word[i..j] is longer."""
     while i <= j:
-        x = tab[f * ncols + word[i]]
+        x = fw[i][f]
         if not x:
             break
         f = x
@@ -84,7 +98,7 @@ def _scan(tab: list[int], ncols: int, f: int, b: int, word, i: int, j: int):
     else:
         return f, i, b, j
     while j >= i:
-        x = tab[b * ncols + (word[j] ^ 1)]
+        x = bw[j][b]
         if not x:
             break
         b = x
@@ -134,15 +148,12 @@ def permutation_action(T: CosetTable) -> list[tuple[int, ...]]:
 def power_survives(T: CosetTable, w: Word, r: int) -> bool:
     """True when the orbit of coset 1 under w has length exactly r, i.e.
     no proper power w^k (0 < k < r) lies in the subgroup while w^r does."""
-    c = 1
-    length = 0
-    while True:
-        c = trace(T, c, w)
-        length += 1
-        if c == 1:
-            return length == r
+    c, length = trace(T, 1, w), 1
+    while c != 1:
         if length > T.n_cosets:
             raise TableInvariantError("orbit never returns to coset 1")
+        c, length = trace(T, c, w), length + 1
+    return length == r
 
 
 def is_normal(T: CosetTable) -> bool:
@@ -150,12 +161,11 @@ def is_normal(T: CosetTable) -> bool:
     alone by ``_normal_so_far``; subgroup words are ignored.  It is given
     the generator columns only: they reach every coset of a finite
     transitive table, and a map commuting with g commutes with g^-1."""
-    n = T.n_generators
-    return _normal_so_far(list(chain((0,) * 2 * n, *T.rows))[::2], n)
+    return _normal_so_far([[0, *col] for col in zip(*T.rows)][::2])
 
 
-def _normal_so_far(tab: list[int], ncols: int) -> bool:
-    """False when no table of a normal subgroup extends the flat table
+def _normal_so_far(cols: list[list[int]]) -> bool:
+    """False when no table of a normal subgroup extends the column lists
     (0 = undefined); on a complete table, True exactly when H is normal.
 
     For each defined coset beta = 1.c, grow the map 1 -> beta along the
@@ -166,13 +176,13 @@ def _normal_so_far(tab: list[int], ncols: int) -> bool:
     H lies in Stab(beta) = c^-1 H c, which has the same index, so
     H = c^-1 H c; holding for every column, this is normality.  O(N ncols)
     per beta."""
-    for beta in set(tab[ncols:2 * ncols]) - {0, 1}:
-        phi = [0] * (len(tab) // ncols)
-        phi[1] = beta
-        queue = [1]
+    for beta in {col[1] for col in cols} - {0, 1}:
+        phi = [0] * len(cols[0])
+        phi[1], queue = beta, [1]
         for x in queue:
             y = phi[x]
-            for u, v in zip(tab[x * ncols:(x + 1) * ncols], tab[y * ncols:(y + 1) * ncols]):
+            for col in cols:
+                u, v = col[x], col[y]
                 if u and v:
                     if not phi[u]:
                         phi[u] = v
@@ -197,14 +207,7 @@ def validate_table(P: Presentation, T: CosetTable) -> None:
                 raise TableInvariantError(f"entry ({i},{c}) out of range")
             if T.rows[j - 1][c ^ 1] != i:
                 raise TableInvariantError(f"inverse consistency fails at ({i},{c})")
-    reached = {1}
-    frontier = [1]
-    for i in frontier:
-        for j in T.rows[i - 1]:
-            if j not in reached:
-                reached.add(j)
-                frontier.append(j)
-    if len(reached) != N:
+    if len(canonicalize_rows(n, T.rows)) != N:  # it renumbers the cosets reached
         raise TableInvariantError("cosets not all reachable from coset 1")
     for r in P.relators:
         for i in range(1, N + 1):
@@ -216,18 +219,17 @@ def validate_table(P: Presentation, T: CosetTable) -> None:
 
 
 def canonicalize_rows(n_generators: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Renumber a complete 1-based table by BFS discovery from coset 1."""
+    """Renumber a complete 1-based table by BFS discovery from coset 1,
+    reading only the rows it reaches."""
+    new_of = [0] * (len(rows) + 1)  # old coset -> new number, 0 = unseen
+    new_of[1] = 1
     order = [1]
-    new_of = {1: 1}
     for c in order:
-        for col in range(2 * n_generators):
-            d = rows[c - 1][col]
-            if d not in new_of:
-                new_of[d] = len(order) + 1
+        for d in rows[c - 1]:
+            if not new_of[d]:
                 order.append(d)
-    return tuple(
-        tuple(new_of[rows[old - 1][col]] for col in range(2 * n_generators)) for old in order
-    )
+                new_of[d] = len(order)
+    return tuple(tuple(map(new_of.__getitem__, rows[c - 1])) for c in order)
 
 
 def table_from_rows(n_generators: int, rows) -> CosetTable:
@@ -255,33 +257,25 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
         if w.max_index() > P.n_generators:
             raise ValueError("subgroup word uses an undeclared generator")
 
-    ncols = 2 * P.n_generators
     cores = [cyclic_reduce(r)[1].letters for r in P.relators]
     involutions = frozenset(abs(w[0]) for w in cores if len(w) == 2 and w[0] == w[1])
-    rots = _rotations(P, ncols, involutions)
-    sub_cols = [_cols(w.letters, involutions) for w in subgroup_words]
-    # an involution's two columns are mates, kept equal; any other column
-    # is its own mate.  A coincidence moves the first of two mates only
-    mate = [c ^ 1 if c // 2 + 1 in involutions else c for c in range(ncols)]
-    moved = [c for c in range(ncols) if mate[c] >= c]
-    pad = [0] * ncols
-    tab = [0] * (2 * ncols)
+    cols = _columns(P.n_generators, involutions)
+    ncols = len(cols)
+    rots = _rotations(P, cols, involutions)
+    subs = [_cols(w.letters, involutions) for w in subgroup_words]
+    # (column, its list, its inverse's), one per distinct list: the ones a coincidence moves
+    moved = [(c, cols[c], cols[c ^ 1]) for c in range(ncols) if not c & 1 or cols[c] is not cols[c - 1]]
     p = [0, 1]  # union-find parents; a merge keeps the smaller coset
     n_live = 1
     todo: list[tuple[int, int]] = []  # deductions (coset, column) not yet scanned
 
     def rep(k: int) -> int:
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
+        while p[k] != k:  # path halving
+            p[k] = k = p[p[k]]
+        return k
 
     def write(a: int, c: int, b: int) -> None:
-        d = mate[c]
-        tab[a * ncols + c] = tab[a * ncols + d] = b
-        tab[b * ncols + (c ^ 1)] = tab[b * ncols + (d ^ 1)] = a
+        cols[c][a], cols[c ^ 1][b] = b, a
         todo.append((a, c))
 
     def define(a: int, c: int) -> bool:
@@ -290,7 +284,8 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
         if n_live >= max_cosets:
             return False
         p.append(len(p))
-        tab.extend(pad)
+        for _, col, _ in moved:
+            col.append(0)
         n_live += 1
         write(a, c, len(p) - 1)
         return True
@@ -308,16 +303,16 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
         dead: list[int] = []
         merge(a, b, dead)
         for gamma in dead:  # grows while it is walked: FIFO
-            for c in moved:
-                delta = tab[gamma * ncols + c]
+            for c, col, inv in moved:
+                delta = col[gamma]
                 if not delta:
                     continue
-                tab[delta * ncols + (c ^ 1)] = tab[delta * ncols + (mate[c] ^ 1)] = 0
+                inv[delta] = 0
                 mu, nu = rep(gamma), rep(delta)
-                if tab[mu * ncols + c]:
-                    merge(nu, tab[mu * ncols + c], dead)
-                elif tab[nu * ncols + (c ^ 1)]:
-                    merge(mu, tab[nu * ncols + (c ^ 1)], dead)
+                if col[mu]:
+                    merge(nu, col[mu], dead)
+                elif inv[nu]:
+                    merge(mu, inv[nu], dead)
                 else:
                     write(mu, c, nu)
 
@@ -327,8 +322,8 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
             alpha, c = todo.pop()
             if p[alpha] != alpha:
                 continue  # its entries moved, and were pushed again if new
-            for word, i, j in rots[c]:
-                f, i, b, j = _scan(tab, ncols, alpha, alpha, word, i, j)
+            for fw, bw, word, i, j in rots[c]:
+                f, i, b, j = _scan(fw, bw, alpha, alpha, i, j)
                 if i == j:
                     write(f, word[i], b)
                 elif i > j and f != b:
@@ -336,15 +331,16 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
                     if p[alpha] != alpha:
                         break
 
-    for cols in sub_cols:
-        f, i, b, j = _scan(tab, ncols, 1, 1, cols, 0, len(cols) - 1)
+    for word in subs:
+        fw, bw = [cols[c] for c in word], [cols[c ^ 1] for c in word]
+        f, i, b, j = _scan(fw, bw, 1, 1, 0, len(word) - 1)
         while i <= j:  # fill the gap, one entry at a time
             if i == j:
-                write(f, cols[i], b)
-            elif not define(f, cols[i]):
+                write(f, word[i], b)
+            elif not define(f, word[i]):
                 return Exhausted(max_cosets)
             deduce()  # merges keep the scanned paths, ending at rep(f), rep(b)
-            f, i, b, j = _scan(tab, ncols, rep(f), rep(b), cols, i, j)
+            f, i, b, j = _scan(fw, bw, rep(f), rep(b), i, j)
         if f != b:
             coincidence(f, b)
             deduce()
@@ -355,7 +351,7 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
     while alpha < len(p):
         if p[alpha] != alpha or c == ncols:
             alpha, c = alpha + 1, 0
-        elif tab[alpha * ncols + c]:
+        elif cols[c][alpha]:
             c += 1
         elif define(alpha, c):
             deduce()
@@ -364,6 +360,5 @@ def todd_coxeter(P: Presentation, subgroup_words, max_cosets: int = DEFAULT_MAX_
 
     # renumber from coset 1, which merges keep live: live rows point only
     # at live cosets, so the dead rows (None) are never read
-    raw = [tab[c * ncols:(c + 1) * ncols] if p[c] == c else None for c in range(1, len(p))]
-    rows = canonicalize_rows(P.n_generators, raw)
+    rows = canonicalize_rows(P.n_generators, _rows(cols, p))
     return CosetTable(P.n_generators, rows, subgroup_words=subgroup_words)

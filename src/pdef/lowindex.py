@@ -1,9 +1,9 @@
 """All subgroups of index <= n, by backtracking over partial coset tables.
 
-The search keeps one flat table in the layout of ``cosets`` (0 marks an
-undefined entry), an undo trail of the entries it wrote, and an explicit
-stack of branch points, so a branch costs the entries it defines and
-backtracking erases exactly those; nothing recurses.
+The search keeps one table, one list per column as in ``cosets`` (0 marks
+an undefined entry), an undo trail of the (list, coset) entries it wrote,
+and an explicit stack of branch points, so a branch costs the entries it
+defines and backtracking erases exactly those; nothing recurses.
 
 Each definition alpha.g = beta is a deduction.  It is checked with
 ``cosets._scan`` at alpha only, on the cyclic rotations of each relator and
@@ -14,15 +14,16 @@ relator cycle at every coset is scanned in full once its last entry is
 defined, so each complete table is a transitive permutation action
 satisfying the relators.
 
-New cosets are only ever introduced at the first undefined entry in scan
-order, so every complete table is already in canonical BFS numbering;
-distinct tables are distinct subgroups (not conjugacy classes), each
-appearing exactly once.
+New cosets are only ever introduced at the first undefined entry in
+row-major order, so every complete table is already in canonical BFS
+numbering; distinct tables are distinct subgroups (not conjugacy classes),
+each appearing exactly once.
 
 ``_tables_by_index`` is the one search, one pass per index n.  Pass n
 fills entries with cosets 1..n only and parks each branch that asks for
-coset n + 1: a copy of its table and its first undefined entry, which pass
-n + 1 sets to the new coset before it goes on.  No branch is searched
+coset n + 1: a copy of its columns and its first undefined entry.  Pass
+n + 1 copies them back into the same lists, which the rotations hold, and
+sets that entry to the new coset before it goes on.  No branch is searched
 twice, and each pass yields the complete tables of index n, sorted.  A
 pass that parks nothing ends the search, since every table of larger index
 extends a parked branch.  A certifying search that stops at its first
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cosets import CosetTable, _normal_so_far, _rotations, _scan, is_normal
+from .cosets import CosetTable, _columns, _normal_so_far, _rotations, _rows, _scan, is_normal
 from .presentations import Presentation
 
 
@@ -65,23 +66,21 @@ def _tables_by_index(P: Presentation, max_index: int, normal: bool = False) -> I
     parks each that asks for coset n + 1; a pass that parks none is the last."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    ncols = 2 * P.n_generators
-    rots = _rotations(P, ncols)
-    pad = [0] * ncols
-    trail: list[int] = []  # flat positions written in this branch, in order
+    cols = _columns(P.n_generators)
+    ncols = len(cols)
+    rots = _rotations(P, cols)
+    trail: list[tuple[list[int], int]] = []  # (column list, coset) written in this branch, in order
 
-    def deduce(alpha: int, col: int, beta: int) -> bool:
-        """Define alpha.col = beta and every entry it forces; False on a
+    def deduce(alpha: int, c: int, beta: int) -> bool:
+        """Define alpha.c = beta and every entry it forces; False on a
         contradiction (the caller undoes the trail either way)."""
         pending = []
         while True:
-            k, m = alpha * ncols + col, beta * ncols + (col ^ 1)
-            tab[k] = beta
-            tab[m] = alpha
-            trail.append(k)
-            trail.append(m)
-            for word, i, j in rots[col]:
-                f, i, b, j = _scan(tab, ncols, alpha, alpha, word, i, j)
+            col, inv = cols[c], cols[c ^ 1]
+            col[alpha], inv[beta] = beta, alpha
+            trail.extend(((col, alpha), (inv, beta)))
+            for fw, bw, word, i, j in rots[c]:
+                f, i, b, j = _scan(fw, bw, alpha, alpha, i, j)
                 if i == j:  # one gap: f.word[i] = b is forced
                     pending.append((f, word[i], b))
                 elif i > j and f != b:
@@ -89,52 +88,53 @@ def _tables_by_index(P: Presentation, max_index: int, normal: bool = False) -> I
             # a forced entry is free when found, but an earlier one may
             # have taken it since: the same entry is skipped, a clash fails
             while pending:
-                alpha, col, beta = pending.pop()
-                x = tab[alpha * ncols + col]
-                if not x and not tab[beta * ncols + (col ^ 1)]:
+                alpha, c, beta = pending.pop()
+                x = cols[c][alpha]
+                if not x and not cols[c ^ 1][beta]:
                     break
                 if x != beta:
                     return False
             else:
                 return True
 
-    # parked: (table as a tuple, which the garbage collector stops tracking,
-    # so a large parked set costs it nothing; the entry the new coset fills)
-    parked = [((0,) * ncols, ncols)]
+    # parked: (the columns as tuples, each with a 0 for the next coset, which
+    # the garbage collector stops tracking, so a large parked set costs it
+    # nothing; the row-major position alpha * ncols + c of the first gap)
+    parked = [(tuple((0, 0) for _ in cols), ncols)]
     for n in range(1, max_index + 1):
         end = (n + 1) * ncols
         branches, parked = parked, []
         rows = []
         while branches:  # popped, so a resumed branch's table is freed with it
             saved, pos = branches.pop()
-            tab = [*saved, *pad]
+            for col, old in zip(cols, saved):
+                col[:] = old
             trail.clear()
-            if n > 1 and not (deduce(*divmod(pos, ncols), n) and (not normal or _normal_so_far(tab, ncols))):
+            if n > 1 and not (deduce(*divmod(pos, ncols), n) and (not normal or _normal_so_far(cols))):
                 continue
             frames: list[list[int]] = []  # [trail length, position, next candidate]
             while True:
-                while pos < end and tab[pos]:
+                while pos < end and cols[pos % ncols][pos // ncols]:
                     pos += 1
                 if pos == end:
-                    rows.append(tuple(tuple(tab[c * ncols:(c + 1) * ncols]) for c in range(1, n + 1)))
+                    rows.append(tuple(_rows(cols, range(n + 1))))  # no coset is dead
                 else:
                     frames.append([len(trail), pos, 1])
                     if n < max_index:
-                        parked.append((tuple(tab), pos))
+                        parked.append((tuple((*col, 0) for col in cols), pos))
                 while frames:
-                    frame = frames[-1]
-                    mark, pos, beta = frame
-                    for k in trail[mark:]:
-                        tab[k] = 0
+                    mark, pos, beta = frame = frames[-1]
+                    for col, k in trail[mark:]:
+                        col[k] = 0
                     del trail[mark:]
-                    alpha, col = divmod(pos, ncols)
-                    while beta <= n and tab[beta * ncols + (col ^ 1)]:
+                    alpha, c = divmod(pos, ncols)
+                    while beta <= n and cols[c ^ 1][beta]:
                         beta += 1
                     if beta > n:
                         frames.pop()
                         continue
                     frame[2] = beta + 1
-                    if deduce(alpha, col, beta) and (not normal or _normal_so_far(tab, ncols)):
+                    if deduce(alpha, c, beta) and (not normal or _normal_so_far(cols)):
                         break
                 else:
                     break

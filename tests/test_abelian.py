@@ -57,6 +57,20 @@ def test_snf_examples():
         assert matmul(matmul(U, rows), V) == [[expected[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def test_snf_mends_a_long_diagonal_of_primes():
+    # diag of the first 20 primes, each twice: 38 ones, then their product
+    # twice, reached through many chain repairs
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    k = 40
+    rows = [[primes[i % 20] if i == j else 0 for j in range(k)] for i in range(k)]
+    factors, (U, V) = smith_normal_form(IntegerMatrix.from_rows(rows), transforms=True)
+    assert factors == [1] * 38 + [math.prod(primes)] * 2
+    # U M V = diag(factors), and det M = prod(factors) != 0, so det U det V = 1
+    # in absolute value: both are unimodular
+    D = matmul(matmul([list(r) for r in U.entries], rows), [list(r) for r in V.entries])
+    assert D == [[factors[i] if i == j else 0 for j in range(k)] for i in range(k)]
+
+
 def test_snf_transforms_on_random_matrices():
     rng = random.Random(37)
     for _ in range(200):

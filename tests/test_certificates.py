@@ -176,6 +176,17 @@ def test_find_z_surjection(dinf, triangle_power_pres):
     assert cert.parameters["examined_indices"] == [1, 2]
 
 
+def test_verify_checks_the_shape_of_an_in_memory_certificate():
+    # the same witness fields pdef verify rejects in the JSON
+    cert = find_z_surjection(parse_presentation("gens: x\nrel: x^2"), 4)
+    assert verify(cert)
+    cert.witness["kill_set"] = []
+    with pytest.raises(MalformedCertificate):
+        from_json(to_json(cert))
+    with pytest.raises(MalformedCertificate):
+        verify(cert)
+
+
 def test_klein_quartic_rank_bound_is_fast():
     # the kernel of the (2,3,7) triangle group onto PSL(2,7): 169 Schreier
     # generators and 504 relators, read exactly without Tietze

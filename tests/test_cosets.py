@@ -5,6 +5,8 @@ from pdef import (
     Exhausted,
     Word,
     is_normal,
+    low_index_normal,
+    low_index_subgroups,
     parse_presentation,
     parse_word,
     permutation_action,
@@ -174,6 +176,32 @@ def test_triangle_commutator_7_has_order_1092():
     # <a, b | a^2, b^3, (ab)^7, [a,b]^7> is PSL(2, 13)
     P = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\nrel: (a*b)^7\nrel: [a,b]^7")
     assert _enumerate(P).n_cosets == 1092
+
+
+# M11 on its ATLAS standard generators, and a copy with b read as b^-1 and
+# each relator rotated
+M11_TEXT = (
+    "gens: a, b\nrel: a^2\nrel: b^4\nrel: (a*b)^11\nrel: (a*b^2)^6\n"
+    "rel: a*b*a*b*a*b^-1*a*b*a*b^2*a*b^-1*a*b*a*b^-1*a*b^-1\n"
+)
+M11_INVERSE_ROTATED_TEXT = (
+    "gens: a, b\nrel: a^2\nrel: b^-4\nrel: (b^-1*a)^11\nrel: (b^-1*a*b^-1)^6\n"
+    "rel: b*a*b^-1*a*b^-2*a*b*a*b^-1*a*b*a*b*a*b^-1*a*b^-1*a\n"
+)
+
+
+def test_m11_has_order_7920():
+    for text in (M11_TEXT, M11_INVERSE_ROTATED_TEXT):
+        assert _enumerate(parse_presentation(text)).n_cosets == 7920
+
+
+def test_zero_generators():
+    # the trivial group: one coset, no columns
+    P = parse_presentation("gens:\n")
+    T = _enumerate(P)
+    assert T.rows == ((),) and is_normal(T)
+    assert [(r.index, r.table.rows, r.normal) for r in low_index_subgroups(P, 3)] == [(1, ((),), True)]
+    assert [r.index for r in low_index_normal(P, 3)] == [1]
 
 
 def _coset_action_rows(gen_perms, sub_perms):
