@@ -170,8 +170,3 @@ def abelian_invariants(P: Presentation) -> AbelianInvariants:
     cols = sorted(set().union(*rows))
     M = IntegerMatrix(tuple(tuple(row.get(c, 0) for c in cols) for row in rows if row))
     return cokernel_invariants(M, P.n_generators - units)
-
-
-def surjects_onto_Z(P: Presentation) -> bool:
-    """True when the abelianization has a free summand."""
-    return abelian_invariants(P).free_rank >= 1

@@ -86,32 +86,50 @@ class MalformedCertificate(ValueError):
 # JSON schema
 
 
-_WITNESS_FIELDS = {
-    "index": int,
-    "table": list,
-    "kill_set": list,
-    "abelian_invariants": dict,
-    "bound": str,
-}
+# (kind, parameter keys) -> witness keys: each target's witness and Inconclusive shapes
+_SHAPES = {(kind, frozenset(params.split())): set(witness.split()) for kind, params, witness in (
+    (P_LARGE_BY_DEFICIENCY, "p", "bound"),
+    (INCONCLUSIVE, "p reason", "bound"),
+    (ALLCOCK_BOUND, "bound_formula", "index table abelian_invariants bound"),
+    (INCONCLUSIVE, "bound_formula reason failing_relator", "index table"),
+    (Z_SURJECTION_WITNESS, "max_index", "index table abelian_invariants"),
+    (INCONCLUSIVE, "max_index reason examined_indices", ""),
+    (FREE_QUOTIENT_WITNESS, "kill_budget", "kill_set abelian_invariants"),
+    (INCONCLUSIVE, "kill_budget reason", ""),
+    (P_LARGE_WITNESS, "p max_index kill_budget", "index table kill_set abelian_invariants"),
+    (INCONCLUSIVE, "p max_index kill_budget reason", ""),
+    (POWER_QUOTIENT_LARGE, "rank num_powers exponent p", "bound"),
+    (INCONCLUSIVE, "rank num_powers exponent reason", ""),
+    (INCONCLUSIVE, "", ""),  # it claims nothing, so it needs no parameters
+)}
 
-# the exact witness fields of each kind; an Inconclusive carries what the
-# target that issued it writes, under (INCONCLUSIVE, target)
-_WITNESS_KEYS = {
-    P_LARGE_BY_DEFICIENCY: {"bound"},
-    ALLCOCK_BOUND: {"index", "table", "abelian_invariants", "bound"},
-    Z_SURJECTION_WITNESS: {"index", "table", "abelian_invariants"},
-    FREE_QUOTIENT_WITNESS: {"kill_set", "abelian_invariants"},
-    P_LARGE_WITNESS: {"index", "table", "kill_set", "abelian_invariants"},
-    POWER_QUOTIENT_LARGE: {"bound"},
-    (INCONCLUSIVE, "p-large-def"): {"bound"},
-    (INCONCLUSIVE, "allcock"): {"index", "table"},
-    (INCONCLUSIVE, None): set(),
+
+def _ints(v) -> bool:  # type(x) is int: a JSON boolean is an int to isinstance
+    return isinstance(v, list) and all(type(x) is int for x in v)
+
+
+def _invariants(v) -> bool:
+    return isinstance(v, dict) and set(v) == {"rank", "torsion"} and type(v["rank"]) is int and _ints(v["torsion"])
+
+
+# what each parameter and witness field must be, and its check; any field not
+# named here is an int, as is tietze_budget, which old certificates carry
+_INT = ("be an integer", lambda v: type(v) is int)
+_FIELD_CHECKS = {
+    "reason": ("be a string", lambda v: isinstance(v, str)),
+    "bound_formula": (f"be {RANK_BOUND_FORMULA!r}", lambda v: v == RANK_BOUND_FORMULA),
+    "examined_indices": ("be a list of integers", _ints),
+    "table": ("be a list of integer rows", lambda v: isinstance(v, list) and all(map(_ints, v))),
+    "kill_set": ("be a list of names", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "abelian_invariants": ("hold integers as {rank, torsion}", _invariants),
+    "bound": ("be a string", lambda v: isinstance(v, str)),
 }
 
 
 def validate_certificate_dict(d: dict) -> None:
     """Schema check for a serialized certificate: unknown fields are rejected,
-    and the witness carries exactly the fields of its kind."""
+    the parameters are exactly those an issuer of the kind writes, with their
+    types, and the witness carries exactly the fields of that shape."""
     if not isinstance(d, dict):
         raise MalformedCertificate("certificate must be a JSON object")
     allowed = {"kind", "presentation", "parameters", "witness", "conclusions", "verified"}
@@ -141,30 +159,16 @@ def validate_certificate_dict(d: dict) -> None:
     witness = d.get("witness", {})
     if not isinstance(witness, dict):
         raise MalformedCertificate("witness must be an object")
-    for key, value in witness.items():
-        if key not in _WITNESS_FIELDS:
-            raise MalformedCertificate(f"unknown witness field {key!r}")
-        if not isinstance(value, _WITNESS_FIELDS[key]) or isinstance(value, bool):
-            raise MalformedCertificate(f"witness field {key!r} has the wrong type")
-    shape, params = d["kind"], d["parameters"]
-    if shape == INCONCLUSIVE:  # the target that gave up, told by its parameters
-        by_def = "p" in params and "max_index" not in params
-        shape = (shape, "allcock" if "bound_formula" in params else "p-large-def" if by_def else None)
-    if set(witness) != _WITNESS_KEYS[shape]:
-        raise MalformedCertificate(f"kind {d['kind']} carries the witness fields {sorted(_WITNESS_KEYS[shape])}")
-    if "table" in witness:  # type(x) is int: a JSON boolean is an int to isinstance
-        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in witness["table"]):
-            raise MalformedCertificate("witness.table must be a list of integer rows")
-    if "kill_set" in witness and not all(isinstance(s, str) for s in witness["kill_set"]):
-        raise MalformedCertificate("witness.kill_set must be a list of names")
-    if "abelian_invariants" in witness:
-        inv = witness["abelian_invariants"]
-        if set(inv) != {"rank", "torsion"}:
-            raise MalformedCertificate("abelian_invariants is {rank, torsion}")
-        if type(inv["rank"]) is not int or not isinstance(inv["torsion"], list):
-            raise MalformedCertificate("abelian_invariants must hold integers")
-        if not all(type(x) is int for x in inv["torsion"]):
-            raise MalformedCertificate("abelian_invariants must hold integers")
+    shape = (d["kind"], frozenset(d["parameters"]) - {"tietze_budget"})
+    if shape not in _SHAPES:
+        raise MalformedCertificate(f"no {d['kind']} certificate has the parameters {sorted(d['parameters'])}")
+    if set(witness) != _SHAPES[shape]:
+        raise MalformedCertificate(f"this {d['kind']} carries the witness fields {sorted(_SHAPES[shape])}")
+    for part, fields in (("parameters", d["parameters"]), ("witness", witness)):
+        for key, value in fields.items():
+            what, check = _FIELD_CHECKS.get(key, _INT)
+            if not check(value):
+                raise MalformedCertificate(f"{part}.{key} must {what}")
 
 
 def to_json_dict(c: Certificate) -> dict:
@@ -349,10 +353,10 @@ def find_z_surjection(P: Presentation, max_index: int) -> Certificate:
     return _issue(INCONCLUSIVE, text, {**params, "reason": reason, "examined_indices": examined}, {})
 
 
-def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
-    """Look for generators whose removal frees the presentation: kill-set
-    subsets are tried smallest first, in generator order, at most
-    kill_budget generators at a time.  Sound but incomplete.
+def _free_quotient(H: Presentation, kill_budget: int) -> dict | None:
+    """The FreeQuotientWitness payload of the first kill set that frees H,
+    or None.  Kill-set subsets are tried smallest first, in generator order,
+    at most kill_budget generators at a time.  Sound but incomplete.
 
     A subset is simplified only when the quotient's abelianization (H's
     exponent-sum matrix without the subset's columns) is free abelian of
@@ -362,8 +366,6 @@ def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
     found is the same as without the check."""
     if kill_budget < 0:
         raise ValueError("kill_budget must be at least 0")
-    text = print_presentation(H)
-    params = {"kill_budget": kill_budget}
     n = H.n_generators
     exponent_sums = relator_matrix(H).entries
     for size in range(0, min(kill_budget, n - 2) + 1):
@@ -377,9 +379,17 @@ def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
             rank = _free_rank(H, [Word((g,)) for g in subset])
             if rank is not None:
                 kill_set = [H.generator_names[g - 1] for g in subset]
-                witness = {"kill_set": kill_set, "abelian_invariants": {"rank": rank, "torsion": []}}
-                return _issue(FREE_QUOTIENT_WITNESS, text, params, witness)
-    return _issue(INCONCLUSIVE, text, {**params, "reason": "no kill set in budget frees the presentation"}, {})
+                return {"kill_set": kill_set, "abelian_invariants": {"rank": rank, "torsion": []}}
+    return None
+
+
+def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
+    """A FreeQuotientWitness for the kill set ``_free_quotient`` finds, else Inconclusive."""
+    text = print_presentation(H)
+    params = {"kill_budget": kill_budget}
+    if (witness := _free_quotient(H, kill_budget)) is None:
+        return _issue(INCONCLUSIVE, text, {**params, "reason": "no kill set in budget frees the presentation"}, {})
+    return _issue(FREE_QUOTIENT_WITNESS, text, params, witness)
 
 
 def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int) -> Certificate:
@@ -387,14 +397,11 @@ def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget
     canonical order, with a free quotient of rank >= 2; the search ends early once no larger index exists."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if kill_budget < 0:
-        raise ValueError("kill_budget must be at least 0")
     text = print_presentation(P)
     params = {"p": p, "max_index": max_index, "kill_budget": kill_budget}
     for rec in _normal_by_index(P, max_index, p):
-        sub = certify_free_quotient(subgroup_presentation(P, rec), kill_budget)
-        if sub.kind == FREE_QUOTIENT_WITNESS:
-            witness = {"index": rec.index, "table": _table_payload(rec.table), **sub.witness}
+        if (found := _free_quotient(subgroup_presentation(P, rec), kill_budget)) is not None:
+            witness = {"index": rec.index, "table": _table_payload(rec.table), **found}
             return _issue(P_LARGE_WITNESS, text, params, witness)
     reason = "no p-power-index normal subgroup in range yielded a free quotient"
     return _issue(INCONCLUSIVE, text, {**params, "reason": reason}, {})

@@ -34,8 +34,8 @@ Normality is decided on the table alone.  ``low_index_subgroups`` asks
 run the same test, ``cosets._normal_so_far``, on the partial table after
 every deduction and drop the branch when no normal table can extend it;
 every complete table they reach has passed it, so it is normal.  Records
-carry no subgroup generators, which ``rewriting.schreier_generators``
-builds from the table when needed.
+carry no subgroup generators: ``rewriting`` reads what it needs off the
+table.
 """
 
 from __future__ import annotations

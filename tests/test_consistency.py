@@ -10,13 +10,13 @@ from pdef import (
     low_index_subgroups,
     p_deficiency,
     reidemeister_schreier,
+    schreier_transversal,
     todd_coxeter,
     trace,
     validate_table,
     word_power,
 )
-from pdef.rewriting import schreier_generators
-from oracles import random_primitive_word, random_reduced_word
+from oracles import random_primitive_word, random_reduced_word, schreier_words
 
 
 def random_presentation(rng):
@@ -44,7 +44,7 @@ def test_normality_against_conjugation_oracle():
         for rec in low_index_subgroups(P, search_depth(P)):
             conj_inside = True
             for g in range(1, P.n_generators + 1):
-                for _, s in schreier_generators(rec.table):
+                for s in schreier_words(rec.table, schreier_transversal(rec.table)):
                     for sign in (g, -g):
                         w = Word((sign,)) * s * Word((-sign,))
                         if trace(rec.table, 1, w) != 1:
@@ -58,7 +58,7 @@ def test_subgroup_stack_consistency():
         P = random_presentation(rng)
         for rec in low_index_subgroups(P, search_depth(P)):
             validate_table(P, rec.table)
-            T = todd_coxeter(P, [w for _, w in schreier_generators(rec.table)])
+            T = todd_coxeter(P, schreier_words(rec.table, schreier_transversal(rec.table)))
             assert T.rows == rec.table.rows
             H = reidemeister_schreier(P, rec.table)
             assert H.n_generators == rec.index * (P.n_generators - 1) + 1

@@ -14,18 +14,19 @@ from pdef import (
     low_index_subgroups,
     parse_presentation,
     reduce,
+    schreier_transversal,
     todd_coxeter,
     validate_table,
 )
 from pdef.cosets import canonicalize_rows, table_from_rows
 from pdef.lowindex import _normal_by_index, _tables_by_index
-from pdef.rewriting import schreier_generators
 from oracles import (
     all_subgroups,
     brute_force_tables,
     normal_by_conjugates,
     perm_closure,
     reference_low_index_normal,
+    schreier_words,
     table_from_permutations,
     word_permutation,
 )
@@ -162,7 +163,7 @@ def test_records_roundtrip_through_todd_coxeter(finite_corpus):
     # must rebuild the identical canonical table
     for P in finite_corpus[:4]:
         for rec in low_index_subgroups(P, 4):
-            T = todd_coxeter(P, [w for _, w in schreier_generators(rec.table)])
+            T = todd_coxeter(P, schreier_words(rec.table, schreier_transversal(rec.table)))
             assert T.rows == rec.table.rows
 
 
@@ -241,7 +242,7 @@ def test_todd_coxeter_rebuilds_brute_force_tables(relators, involutions):
     P = Presentation(("a", "b"), tuple(relators + involutions))
     for rows in brute_force_tables(2, P.relators, 4):
         T = table_from_rows(2, rows)
-        assert todd_coxeter(P, [w for _, w in schreier_generators(T)]).rows == rows
+        assert todd_coxeter(P, schreier_words(T, schreier_transversal(T))).rows == rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdef import (
+    EPSILON,
     Presentation,
+    Word,
     abelian_invariants,
     low_index_normal,
     low_index_subgroups,
+    parse_presentation,
     parse_word,
     reduce,
     reidemeister_schreier,
@@ -38,6 +42,28 @@ def test_transversal_is_prefix_closed_and_correct(finite_corpus):
                     assert r.letters[:cut] in words
             for i, r in enumerate(reps, start=1):
                 assert trace(rec.table, 1, r) == i
+
+
+def test_rejects_a_transversal_that_is_not_schreier():
+    # S3 = <a, b | a^2, b^3, (ab)^2> over the trivial subgroup.  Its BFS
+    # transversal presents the trivial group; read as if they were Schreier
+    # transversals, the longest rep times b^3 would present Z and an empty
+    # rep_2 would present Z^3
+    S3 = parse_presentation("gens: a, b\nrel: a^2\nrel: b^3\nrel: (a*b)^2\n")
+    T = todd_coxeter(S3, [])
+    reps = schreier_transversal(T)
+    assert str(abelian_invariants(reidemeister_schreier(S3, T, transversal=reps))) == "1"
+    longest = max(range(len(reps)), key=lambda i: len(reps[i]))
+    bad = [  # the two above, too few reps, a nonempty rep_1, a letter past the generators
+        reps[:longest] + [reps[longest] * Word((2, 2, 2))] + reps[longest + 1 :],
+        reps[:1] + [EPSILON] + reps[2:],
+        reps[:-1],
+        [Word((2, 2, 2))] + reps[1:],
+        reps[:-1] + [reps[-1] * Word((3,))],
+    ]
+    for transversal in bad:
+        with pytest.raises(ValueError, match="Schreier transversal|rep_"):
+            reidemeister_schreier(S3, T, transversal=transversal)
 
 
 def test_s3_trivial_subgroup_transversal(s3_pres):
@@ -147,8 +173,8 @@ def _assert_rewrites_by_conjugation(P, T, reps, words):
 
 def _assert_rewriting_property(P, T, rng, n_random):
     reps = schreier_transversal(T)
-    words = [w for _, w in schreier_generators(T)]
-    assert words == schreier_words(T, reps)  # generator k is the k-th pair
+    words = schreier_words(T, reps)
+    assert [w for _, w in schreier_generators(T)] == words  # generator k is the k-th pair
     _assert_rewrites_by_conjugation(P, T, reps, words)
     for _ in range(n_random):
         reps = random_spanning_transversal(rng, T)

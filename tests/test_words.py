@@ -107,7 +107,7 @@ def test_root_reassembly():
     for _ in range(300):
         w = random_reduced_word(rng, 3, rng.randrange(1, 14))
         d = primitive_root(w)
-        assert d.reassemble() == w
+        assert word_power(d.exact_root(), d.exponent) == w
         assert d.conjugator * word_power(d.root, d.exponent) * d.conjugator.inverse() == w
         assert primitive_root(d.root).exponent == 1
 
