@@ -363,7 +363,8 @@ def _free_quotient(H: Presentation, kill_budget: int) -> dict | None:
     rank >= 2.  Tietze moves keep the group, also when the step limit
     stops them, and a relator-free presentation on k generators abelianizes
     to Z^k, so the skipped subsets could never succeed: the first kill set
-    found is the same as without the check."""
+    found is the same as without the check.  When H's own abelianization
+    (the empty subset) has free rank < 2, so has every quotient's: stop."""
     if kill_budget < 0:
         raise ValueError("kill_budget must be at least 0")
     n = H.n_generators
@@ -374,6 +375,8 @@ def _free_quotient(H: Presentation, kill_budget: int) -> dict | None:
             inv = cokernel_invariants(
                 IntegerMatrix(tuple(tuple(row[c] for c in keep) for row in exponent_sums)), len(keep)
             )
+            if inv.free_rank < 2 and not subset:
+                return None
             if inv.torsion or inv.free_rank < 2:
                 continue
             rank = _free_rank(H, [Word((g,)) for g in subset])
@@ -394,13 +397,20 @@ def certify_free_quotient(H: Presentation, kill_budget: int) -> Certificate:
 
 def certify_p_large_witness(P: Presentation, p: int, max_index: int, kill_budget: int) -> Certificate:
     """p-largeness exhibited: the first normal subgroup of index 1, p, p^2, ... <= max_index, in
-    canonical order, with a free quotient of rank >= 2; the search ends early once no larger index exists."""
+    canonical order, with a free quotient of rank >= 2; the search ends early once no larger index exists.
+    A subgroup whose abelianization has free rank < 2 is skipped before Tietze: a rank-k free quotient
+    abelianizes to Z^k, a quotient of that abelianization; Tietze keeps the group, so no witness changes."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if kill_budget < 0:
+        raise ValueError("kill_budget must be at least 0")
     text = print_presentation(P)
     params = {"p": p, "max_index": max_index, "kill_budget": kill_budget}
     for rec in _normal_by_index(P, max_index, p):
-        if (found := _free_quotient(subgroup_presentation(P, rec), kill_budget)) is not None:
+        H = reidemeister_schreier(P, rec.table)
+        if abelian_invariants(H).free_rank < 2:
+            continue
+        if (found := _free_quotient(tietze_simplify(H), kill_budget)) is not None:
             witness = {"index": rec.index, "table": _table_payload(rec.table), **found}
             return _issue(P_LARGE_WITNESS, text, params, witness)
     reason = "no p-power-index normal subgroup in range yielded a free quotient"

@@ -208,7 +208,10 @@ class _WordParser:
         itok = self.take()
         if itok[0] != "INT":
             raise ParseError(f"expected an integer exponent, got {itok[1]!r}", self.line, itok[2])
-        n = int(itok[1])
+        try:
+            n = int(itok[1])
+        except ValueError:  # past the interpreter's digit limit for int()
+            raise ParseError("exponent has too many digits", self.line, itok[2]) from None
         if n == 0:
             warnings.warn(
                 f"line {self.line}: zero exponent yields the empty word",

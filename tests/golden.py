@@ -13,7 +13,10 @@ the corpus was written.  The cases are
   ``simplify``, ``dump-table`` and ``rewrite`` on the presentations of
   ``tests/conftest.py``, and a few text-mode certificates;
 - ``dump-table`` on (2,3,7;7) and the Coxeter presentation of S5, each
-  written with inverse letters.
+  written with inverse letters;
+- ``certify p-large --json`` on the triangle groups (3,3,4) and (2,4,5)
+  with p = 2 to index 16, and on P with p = 3 to index 27, where most
+  candidate subgroups abelianize to free rank < 2.
 
 ``tests/test_golden.py`` replays every case.  A change that alters these
 bytes on purpose rewrites the file with
@@ -72,6 +75,13 @@ _INVERSE_LETTER_TABLES = {
 }
 
 
+# triangle groups <a, b | a^l, b^m, (ab)^n>, searched for a 2-power witness
+_TRIANGLES = {
+    "triangle_334": "gens: a, b\nrel: a^3\nrel: b^3\nrel: (a*b)^4\n",
+    "triangle_245": "gens: a, b\nrel: a^2\nrel: b^4\nrel: (a*b)^5\n",
+}
+
+
 def _calls():
     """(name, argv, input) for every case, in manifest order."""
     sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
@@ -104,6 +114,11 @@ def _calls():
         yield f"dump-table/{name}", ["dump-table", "{input}"], text
     yield "dump-table/P/exhausted", ["dump-table", "--max-cosets", "50", "{input}"], P_TEXT
     yield "rewrite/P/exhausted-json", ["rewrite", "--max-cosets", "50", "--json", "{input}"], P_TEXT
+    for name, text in _TRIANGLES.items():
+        argv = ["certify", "p-large", "-p", "2", "--max-index", "16", "--json", "{input}"]
+        yield f"certify-p-large/{name}_p2_k16", argv, text
+    argv = ["certify", "p-large", "-p", "3", "--max-index", "27", "--json", "{input}"]
+    yield "certify-p-large/P_p3_k27", argv, P_TEXT
     yield "certify-text/p-large/P", ["certify", "p-large", "-p", "3", "{input}"], P_TEXT
     yield "certify-text/allcock/DINF", ["certify", "allcock", "--subgroup-gens", "x1*x2", "{input}"], DINF_TEXT
     yield "certify-text/p-large-def/S3", ["certify", "p-large-def", "-p", "2", "{input}"], S3_TEXT

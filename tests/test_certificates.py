@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from pdef import (
     reidemeister_schreier,
     subgroup_presentation,
     subgroup_record,
+    tietze_simplify,
     todd_coxeter,
     verify,
 )
@@ -54,7 +56,7 @@ from pdef.certificates import (
 from pdef.presentations import print_word
 from pdef.words import _valuation
 from conftest import DINF_TEXT, P_TEXT, RANK4_TEXT, S3_TEXT
-from oracles import random_primitive_word
+from oracles import random_primitive_word, reference_free_quotient
 
 
 def test_p_large_by_deficiency():
@@ -704,15 +706,22 @@ def _eager_find_z_surjection(P, max_index):
 
 
 def _eager_p_large_witness(P, p, max_index, kill_budget):
-    """The search over the whole sorted list, skipping non-p-power indices."""
+    """The search over the whole sorted list, skipping non-p-power indices,
+    with every kill set of every subgroup tried by the reference loop."""
     text = print_presentation(P)
     params = {"p": p, "max_index": max_index, "kill_budget": kill_budget}
     for rec in low_index_normal(P, max_index):
         if _valuation(rec.index, p)[1] != 1:
             continue
-        sub = certify_free_quotient(subgroup_presentation(P, rec), kill_budget)
-        if sub.kind == FREE_QUOTIENT_WITNESS:
-            witness = {"index": rec.index, "table": _table_payload(rec.table), **sub.witness}
+        found = reference_free_quotient(subgroup_presentation(P, rec), kill_budget)
+        if found is not None:
+            kill_set, rank = found
+            witness = {
+                "index": rec.index,
+                "table": _table_payload(rec.table),
+                "kill_set": kill_set,
+                "abelian_invariants": {"rank": rank, "torsion": []},
+            }
             return _issue(P_LARGE_WITNESS, text, params, witness)
     reason = "no p-power-index normal subgroup in range yielded a free quotient"
     return _issue(INCONCLUSIVE, text, {**params, "reason": reason}, {})
@@ -745,14 +754,39 @@ def test_lazy_searches_match_the_eager_search_on_benchmark_groups():
 
 
 def test_lazy_searches_match_the_eager_search_on_random_presentations():
+    # three generators reach subgroups whose abelianization has free rank
+    # >= 2 and torsion: they pass the abelianization gate, then fail
     rng = random.Random(71)
-    for _ in range(40):
-        relators = []
-        for _ in range(rng.randint(1, 3)):
-            root = print_word(random_primitive_word(rng, 2, rng.randint(1, 4)), ("a", "b"))
-            relators.append(f"rel: ({root})^{rng.randint(1, 4)}\n")
-        P = parse_presentation("gens: a, b\n" + "".join(relators))
-        _assert_same_as_eager(P, rng.randint(1, 5))
+    for names, cases, length, max_index in ((("a", "b"), 40, 4, 5), (("a", "b", "c"), 25, 3, 4)):
+        for _ in range(cases):
+            relators = []
+            for _ in range(rng.randint(1, 3)):
+                root = print_word(random_primitive_word(rng, len(names), rng.randint(1, length)), names)
+                relators.append(f"rel: ({root})^{rng.randint(1, 4)}\n")
+            P = parse_presentation(f"gens: {', '.join(names)}\n" + "".join(relators))
+            _assert_same_as_eager(P, rng.randint(1, max_index))
+
+
+def test_p_large_search_skips_tietze_on_subgroups_of_free_rank_below_two(triangle_power_pres):
+    # one entry per candidate subgroup: [its free rank, Tietze calls on it]
+    candidates = []
+
+    def rewrite(P, T):
+        H = reidemeister_schreier(P, T)
+        candidates.append([abelian_invariants(H).free_rank, 0])
+        return H
+
+    def simplify(H):
+        candidates[-1][1] += 1
+        return tietze_simplify(H)
+
+    with mock.patch("pdef.certificates.reidemeister_schreier", rewrite), \
+            mock.patch("pdef.certificates.tietze_simplify", simplify):
+        cert = certify_p_large_witness(triangle_power_pres, 3, 27, 3)
+    assert cert.kind == P_LARGE_WITNESS and cert.witness["index"] == 3
+    assert [rank for rank, _ in candidates] == [0, 0, 0, 2, 0, 0, 2, 0, 2, 4]
+    assert all(calls == 0 for rank, calls in candidates if rank < 2)
+    assert all(calls > 0 for rank, calls in candidates if rank >= 2)
 
 
 def test_the_search_stops_when_no_larger_subgroup_exists():

@@ -201,6 +201,11 @@ def test_hostile_words_are_reported_errors(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "simplify", str(f))
     assert code == 2 and out == "" and "longer than" in err
 
+    # int() refuses 5000 digits; the error still names the exponent's position
+    f.write_text("gens: x\nrel: x^" + "9" * 5000 + "\n")
+    code, out, err = run(capsys, "abelianize", str(f))
+    assert (code, out, err) == (2, "", "error: line 2, column 8: exponent has too many digits\n")
+
     def exhausted(P):
         raise MemoryError
 
